@@ -51,7 +51,7 @@ print(f"  joined: internal transfer {joint.coal_buy[1, 0]:.1f} kWh, "
       f"grid cost {joint.market_cost:.2f} CU")
 
 for rho in (0.0, 1e-4, 5e-3):
-    breakdown, _ = coalition_value((0, 1), np.zeros(2), pair, 0, 1, rho)
+    breakdown, _ = coalition_value((0, 1), np.zeros(2), pair, hs, rho)
     print(f"  loss weight {rho:g}: market {breakdown.market_cost:.4f} + "
           f"losses {breakdown.loss_cost:.6f} -> value {breakdown.total:.6f} CU")
 print("(the pair is worth forming whenever its value stays below 0.15 CU)")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoopGridError, ScenarioError
-from .game import shapley_value
+from .game import MAX_SWEEP_AGENTS, shapley_value
 from .lp import LpStatus, solve_lp
 from .oracles import (best_partition_by_enumeration, brute_force_lp,
                       permutation_shapley, random_box_lp, random_cost_game)
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
         else:
             scenario = generate_synthetic_scenario(args.seed, args.nodes, args.steps)
             source = f"generated(seed={args.seed},nodes={args.nodes},steps={args.steps})"
-    except ScenarioError as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -181,6 +181,10 @@ def main(argv=None) -> int:
                                  loss_weight=args.rho,
                                  reform_period=args.reform_period)
                        for mode in modes]
+        if (scenario.n_nodes > MAX_SWEEP_AGENTS
+                and any(cfg.mode is SimMode.COALITIONAL for cfg in configs)):
+            raise ValueError(f"coalitional mode supports at most {MAX_SWEEP_AGENTS} "
+                             f"nodes, the scenario has {scenario.n_nodes}")
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,7 +9,8 @@ transfers carry no price in the objective; a tiny volume regularizer
 picks the minimum-circulation optimum so transfer-dependent loss costs
 are well defined.  Transfer losses are charged after the fact as
 ``loss_weight * mean_pair_distance * sum(coal_buy^2)`` and added to the
-market cost to price a coalition.
+market cost to price a coalition.  ``coalition_value`` prices every
+coalition; one member alone goes through the individual program.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DispatchError
 from .lp import LinearProgram, LpStatus, make_program, solve_lp
-from .scenario import HorizonSlice, Scenario, slice_horizon
+from .scenario import HorizonSlice, Scenario
 
 # CU/kWh penalty on internal transfer volume; large enough to kill
 # zero-cost circulation rays, far below any real tariff margin
@@ -250,21 +251,24 @@ def evaluate_loss_cost(solution: DispatchSolution, mean_distance: float,
     return float(loss_weight * mean_distance * np.sum(solution.coal_buy ** 2))
 
 
-def coalition_value(members, storage_levels, scenario: Scenario, k: int,
-                    horizon: int, loss_weight: float,
-                    transfer_reg: float = DEFAULT_TRANSFER_REG,
+def coalition_value(members, storage_levels, scenario: Scenario, slice_: HorizonSlice,
+                    loss_weight: float, transfer_reg: float = DEFAULT_TRANSFER_REG,
                     ) -> tuple[CoalitionValueBreakdown, DispatchSolution]:
-    """Price a coalition at step ``k``: solve its joint dispatch and add the
-    transfer-loss cost.  Returns the breakdown and the planned dispatch."""
+    """Price a coalition over the step's horizon slice: solve its dispatch
+    and add the transfer-loss cost (0 for one member, who has no internal
+    market).  Returns the breakdown and the planned dispatch."""
     members = tuple(sorted(members))
     if not members:
         raise ValueError("coalition must be nonempty")
     storage = np.asarray(storage_levels, dtype=float)
-    hs = slice_horizon(scenario, k, horizon).select(members)
-    idx = list(members)
-    sol = solve_coalition_dispatch(hs, storage[idx],
-                                   scenario.storage_capacities[idx], transfer_reg)
-    r_hat = mean_pairwise_distance(scenario.positions[idx])
+    hs = slice_.select(members)
+    nodes = [scenario.nodes[i] for i in members]
+    caps = [nd.storage_capacity for nd in nodes]
+    if len(members) == 1:
+        sol = solve_individual_dispatch(hs, float(storage[members[0]]), float(caps[0]))
+        return CoalitionValueBreakdown(sol.market_cost, 0.0, sol.market_cost, 0.0), sol
+    sol = solve_coalition_dispatch(hs, storage[list(members)], caps, transfer_reg)
+    r_hat = mean_pairwise_distance([nd.position for nd in nodes])
     loss = evaluate_loss_cost(sol, r_hat, loss_weight)
     breakdown = CoalitionValueBreakdown(
         market_cost=sol.market_cost,

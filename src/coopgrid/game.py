@@ -9,12 +9,15 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .dispatch import CoalitionValueBreakdown, DispatchSolution, coalition_value
+from .dispatch import (DEFAULT_TRANSFER_REG, CoalitionValueBreakdown, DispatchSolution,
+                       coalition_value)
 from .errors import DispatchError, MissingCoalitionError
-from .scenario import Scenario
+from .scenario import Scenario, slice_horizon
 
 # below this net energy (kWh) a per-kWh price is meaningless and left undefined
 PRICE_ENERGY_FLOOR = 1e-6
+# the exhaustive sweep prices 2^n - 1 coalitions; beyond this it is out of reach
+MAX_SWEEP_AGENTS = 16
 
 
 def coalition_mask(members) -> int:
@@ -108,20 +111,19 @@ class PriceRecord:
 
 def characteristic_function(storage_levels, scenario: Scenario, k: int,
                             horizon: int, loss_weight: float,
-                            transfer_reg: float = 1e-9,
-                            masks=None) -> CharacteristicFunction:
-    """Price every nonempty coalition (or the given masks) at step ``k``."""
+                            transfer_reg: float = DEFAULT_TRANSFER_REG,
+                            ) -> CharacteristicFunction:
+    """Price every nonempty coalition at step ``k`` over one horizon slice."""
     n = scenario.n_nodes
-    if n > 16:
+    if n > MAX_SWEEP_AGENTS:
         raise ValueError(f"exhaustive coalition sweep not supported for {n} agents")
-    if masks is None:
-        masks = range(1, 1 << n)
+    hs = slice_horizon(scenario, k, horizon)
     entries: dict[int, CoalitionEntry] = {}
-    for mask in masks:
+    for mask in range(1, 1 << n):
         members = coalition_members(mask)
         try:
-            breakdown, sol = coalition_value(members, storage_levels, scenario,
-                                             k, horizon, loss_weight, transfer_reg)
+            breakdown, sol = coalition_value(members, storage_levels, scenario, hs,
+                                             loss_weight, transfer_reg)
         except DispatchError as exc:
             raise DispatchError(f"coalition {members}: {exc}") from exc
         entries[mask] = CoalitionEntry(breakdown, sol)

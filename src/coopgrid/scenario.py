@@ -1,9 +1,11 @@
 """Prosumer world model: per-node time series, tariffs, storage and geometry.
 
 A scenario fixes everything a simulation run needs: hourly demand and
-generation per node, per-node grid tariffs (buy strictly above sell,
-which also keeps every dispatch program bounded), storage limits and the
-planar layout used to price transfer losses.
+generation per node, per-node grid tariffs, storage limits and the
+planar layout used to price transfer losses.  At every step each node's
+sell price must stay strictly below every node's buy price, its own
+included; that margin across nodes is what keeps every dispatch program
+bounded.
 
 Document format (JSON text): top-level fields ``step_hours``,
 ``start_hour`` and ``nodes``; each node carries ``id``, ``position``
@@ -133,6 +135,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     n_steps = scenario.nodes[0].demand.size
     if n_steps < 1:
         issues.append("series must have at least one step")
+    aligned = []  # nodes whose series pass the length and finiteness checks
     for nd in scenario.nodes:
         tag = f"node {nd.node_id}"
         series = {"demand_kwh": nd.demand, "generation_kwh": nd.generation,
@@ -144,6 +147,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 issues.append(f"{tag}: {name} contains non-finite values")
         if any(v.size != n_steps or not np.all(np.isfinite(v)) for v in series.values()):
             continue  # per-step checks below assume aligned finite series
+        aligned.append(nd)
         for t in np.flatnonzero(nd.demand < 0):
             issues.append(f"{tag}: demand_kwh[{t}] = {nd.demand[t]} is negative (step {t})")
             break
@@ -153,11 +157,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         for t in np.flatnonzero(nd.sell_price < 0):
             issues.append(f"{tag}: sell_price[{t}] = {nd.sell_price[t]} is negative (step {t})")
             break
-        bad = np.flatnonzero(nd.buy_price <= nd.sell_price)
-        if bad.size:
-            t = int(bad[0])
-            issues.append(f"{tag}: buy_price[{t}] = {nd.buy_price[t]} must exceed "
-                          f"sell_price[{t}] = {nd.sell_price[t]} (step {t})")
         if not (math.isfinite(nd.storage_capacity) and nd.storage_capacity >= 0):
             issues.append(f"{tag}: s_max_kwh must be nonnegative, got {nd.storage_capacity}")
         if not (0 <= nd.storage_init <= nd.storage_capacity):
@@ -165,6 +164,17 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                           f"[0, {nd.storage_capacity}]")
         if len(nd.position) != 2 or not all(math.isfinite(v) for v in nd.position):
             issues.append(f"{tag}: position must be two finite coordinates")
+    if aligned:
+        # internal trades carry no price, so a sell price at or above a buy
+        # price, one node's own or two nodes', lets a coalition holding both
+        # buy at one tariff and sell at the other without bound
+        buy = np.stack([nd.buy_price for nd in aligned])
+        sell = np.stack([nd.sell_price for nd in aligned])
+        seller, buyer = np.argmax(sell, axis=0), np.argmin(buy, axis=0)
+        for t in np.flatnonzero(sell.max(axis=0) >= buy.min(axis=0)):
+            issues.append(f"step {t}: node {aligned[seller[t]].node_id} sell_price[{t}] = "
+                          f"{sell[seller[t], t]} must stay below node "
+                          f"{aligned[buyer[t]].node_id} buy_price[{t}] = {buy[buyer[t], t]}")
     return issues
 
 

@@ -3,27 +3,26 @@ dispatch, apply the first-step inputs, settle charges, advance storage.
 
 Per step in coalitional mode: every nonempty coalition is priced over the
 prediction horizon, Shapley shares build the payoff map, the partition is
-formed (or retained between re-formation steps), each block's planned
-dispatch is applied for one step, and realized money is settled inside
-each block with a one-step Shapley allocation built from the first-step
-costs already cached by the sweep.  Grid-only and grid-with-storage modes
-run the same loop degenerated to singleton blocks (grid-only additionally
-clamps storage to zero).
+formed (or retained between re-formation steps, pricing only the subsets
+of its blocks), each block's priced plan is applied for one step, and
+realized money is settled inside each block with a one-step Shapley
+allocation built from the first-step costs of the same priced plans.
+Grid-only and grid-with-storage modes run the same loop on singleton
+blocks; grid-only runs on a copy of the scenario without storage.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .dispatch import (CoalitionValueBreakdown, DispatchSolution, coalition_value,
-                       mean_pairwise_distance, solve_individual_dispatch)
+from .dispatch import DEFAULT_TRANSFER_REG, CoalitionValueBreakdown, coalition_value
 from .errors import DispatchError, ScenarioError
 from .formation import Partition, form_partition
-from .game import (CharacteristicFunction, CoalitionEntry, PayoffMap, PriceRecord,
-                   characteristic_function, coalition_mask, coalition_members,
-                   equivalent_price, payoff_map, shapley_value)
-from .scenario import Scenario, slice_horizon, validate_scenario
+from .game import (CoalitionEntry, PayoffMap, PriceRecord, characteristic_function,
+                   coalition_mask, coalition_members, equivalent_price, payoff_map,
+                   shapley_value)
+from .scenario import HorizonSlice, Scenario, slice_horizon, validate_scenario
 
 STORAGE_DRIFT_TOL = 1e-8
 
@@ -39,7 +38,7 @@ class SimConfig:
     mode: SimMode = SimMode.COALITIONAL
     horizon: int = 5
     loss_weight: float = 1e-5
-    transfer_reg: float = 1e-9
+    transfer_reg: float = DEFAULT_TRANSFER_REG
     reform_period: int = 1
 
     def __post_init__(self):
@@ -64,9 +63,11 @@ class StepResult:
     """Everything applied and settled at one step.
 
     Flow arrays are per agent (length N) at the applied step.
-    ``coalition_values`` holds the full sweep's coalition costs when one
-    was computed this step (None in the grid modes), ``payoffs`` the
-    matching Shapley map when the partition was re-formed.
+    ``coalition_values`` holds the cost of every coalition priced this
+    step: all of them when the partition was re-formed, every subset of
+    every block otherwise (None in the grid modes).  ``block_plans`` holds
+    each block's pricing breakdown from the same entries, and ``payoffs``
+    the Shapley map when the partition was re-formed.
     """
 
     step: int
@@ -112,17 +113,17 @@ def settle_step(partition: Partition, first_step_values: dict[int, float],
     return charges
 
 
-def _one_step_cost(sol: DispatchSolution, scenario: Scenario, hs,
-                   loss_weight: float) -> float:
-    """Realized cost of a dispatch at its first step: grid money plus the
-    transfer-loss charge on the applied coalition purchases."""
+def _one_step_cost(entry: CoalitionEntry, hs: HorizonSlice, loss_weight: float) -> float:
+    """Realized cost of a priced dispatch at its first step: grid money plus
+    the transfer-loss charge on the applied coalition purchases."""
+    sol = entry.solution
     cost = 0.0
     for row, agent in enumerate(sol.members):
         cost += float(hs.buy_price[agent, 0] * sol.grid_buy[row, 0]
                       - hs.sell_price[agent, 0] * sol.grid_sell[row, 0])
     if loss_weight:
-        r_hat = mean_pairwise_distance(scenario.positions[list(sol.members)])
-        cost += loss_weight * r_hat * float(np.sum(sol.coal_buy[:, 0] ** 2))
+        cost += (loss_weight * entry.breakdown.mean_distance
+                 * float(np.sum(sol.coal_buy[:, 0] ** 2)))
     return cost
 
 
@@ -130,43 +131,41 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
          prev_partition: Partition | None = None) -> tuple[StepResult, SystemState]:
     """Execute one closed-loop step and advance the storage state.
 
-    ``prev_partition`` is reused on steps where the partition is not due
-    for re-formation (``step % reform_period != 0``); block dispatches are
-    still re-solved against the current storage state.
+    ``prev_partition`` is reused on coalitional steps not due for
+    re-formation (``step % reform_period != 0``); the grid modes use
+    singletons.  Without a sweep, every subset of every block is priced
+    against the current storage state.
     """
     k = state.step
     n = scenario.n_nodes
     hs = slice_horizon(scenario, k, config.horizon)
     caps = scenario.storage_capacities
 
-    cf: CharacteristicFunction | None = None
+    coalitional = config.mode is SimMode.COALITIONAL
     pm: PayoffMap | None = None
-    records: dict[int, CoalitionEntry] = {}
-    if config.mode is SimMode.COALITIONAL:
-        reform = prev_partition is None or k % config.reform_period == 0
-        if reform:
-            cf = characteristic_function(state.storage, scenario, k, config.horizon,
-                                         config.loss_weight, config.transfer_reg)
-            pm = payoff_map(cf)
-            partition = form_partition(pm)
-            records = cf.entries
-        else:
-            partition = prev_partition
-            for block in partition.blocks:
-                block_mask = coalition_mask(block)
-                sub = block_mask
-                while sub:
-                    members = coalition_members(sub)
-                    try:
-                        breakdown, sol = coalition_value(
-                            members, state.storage, scenario, k, config.horizon,
-                            config.loss_weight, config.transfer_reg)
-                    except DispatchError as exc:
-                        raise DispatchError(f"step {k}, coalition {members}: {exc}") from exc
-                    records[sub] = CoalitionEntry(breakdown, sol)
-                    sub = (sub - 1) & block_mask
+    if coalitional and (prev_partition is None or k % config.reform_period == 0):
+        cf = characteristic_function(state.storage, scenario, k, config.horizon,
+                                     config.loss_weight, config.transfer_reg)
+        pm = payoff_map(cf)
+        partition = form_partition(pm)
+        records = cf.entries
     else:
-        partition = Partition.from_blocks([(i,) for i in range(n)])
+        partition = (prev_partition if coalitional
+                     else Partition.from_blocks([(i,) for i in range(n)]))
+        records = {}
+        for block in partition.blocks:
+            block_mask = coalition_mask(block)
+            sub = block_mask
+            while sub:
+                members = coalition_members(sub)
+                try:
+                    breakdown, sol = coalition_value(
+                        members, state.storage, scenario, hs,
+                        config.loss_weight, config.transfer_reg)
+                except DispatchError as exc:
+                    raise DispatchError(f"step {k}, coalition {members}: {exc}") from exc
+                records[sub] = CoalitionEntry(breakdown, sol)
+                sub = (sub - 1) & block_mask
 
     grid_buy = np.zeros(n)
     grid_sell = np.zeros(n)
@@ -174,39 +173,20 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
     coal_sell = np.zeros(n)
     storage_delta = np.zeros(n)
     block_plans: dict[int, CoalitionValueBreakdown] = {}
-    first_step_values = {mask: _one_step_cost(entry.solution, scenario, hs,
-                                              config.loss_weight)
-                         for mask, entry in records.items()}
-
     for block in partition.blocks:
         block_mask = coalition_mask(block)
-        if len(block) == 1:
-            # singleton blocks dispatch through the grid-only program so the
-            # coalitional loop degenerates exactly to the storage baseline
-            agent = block[0]
-            if config.mode is SimMode.GRID_ONLY:
-                s0, cap = 0.0, 0.0
-            else:
-                s0, cap = float(state.storage[agent]), float(caps[agent])
-            try:
-                sol = solve_individual_dispatch(hs.select(block), s0, cap)
-            except DispatchError as exc:
-                raise DispatchError(f"step {k}, node {agent}: {exc}") from exc
-            plan = CoalitionValueBreakdown(sol.market_cost, 0.0, sol.market_cost, 0.0)
-        else:
-            entry = records[block_mask]
-            sol = entry.solution
-            plan = entry.breakdown
-        block_plans[block_mask] = plan
+        entry = records[block_mask]
+        sol = entry.solution
+        block_plans[block_mask] = entry.breakdown
         idx = list(block)
         grid_buy[idx] = sol.grid_buy[:, 0]
         grid_sell[idx] = sol.grid_sell[:, 0]
         coal_buy[idx] = sol.coal_buy[:, 0]
         coal_sell[idx] = sol.coal_sell[:, 0]
         storage_delta[idx] = sol.storage_delta[:, 0]
-        first_step_values[block_mask] = _one_step_cost(sol, scenario, hs,
-                                                       config.loss_weight)
 
+    first_step_values = {mask: _one_step_cost(entry, hs, config.loss_weight)
+                         for mask, entry in records.items()}
     charges = settle_step(partition, first_step_values, n)
 
     net = grid_buy - grid_sell + coal_buy - coal_sell
@@ -233,7 +213,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         charges=charges,
         prices=prices,
         block_plans=block_plans,
-        coalition_values={m: e.value for m, e in records.items()} if records else None,
+        coalition_values={m: e.value for m, e in records.items()} if coalitional else None,
         payoffs=pm,
     )
     return result, SystemState(step=k + 1, storage=new_storage)
@@ -245,11 +225,10 @@ def run(scenario: Scenario, config: SimConfig) -> SimulationTrace:
     if issues:
         raise ScenarioError("; ".join(issues))
     n = scenario.n_nodes
-    if config.mode is SimMode.GRID_ONLY:
-        storage0 = np.zeros(n)
-    else:
-        storage0 = scenario.storage_init.copy()
-    state = SystemState(step=0, storage=storage0)
+    if config.mode is SimMode.GRID_ONLY:  # the same world with no storage at all
+        scenario = replace(scenario, nodes=[replace(nd, storage_capacity=0.0, storage_init=0.0)
+                                            for nd in scenario.nodes])
+    state = SystemState(step=0, storage=scenario.storage_init.copy())
     results: list[StepResult] = []
     prev: Partition | None = None
     cumulative = np.zeros(n)

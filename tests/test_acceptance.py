@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from helpers import traces_equal
 
-from coopgrid.dispatch import coalition_value, mean_pairwise_distance
+from coopgrid.dispatch import (coalition_value, mean_pairwise_distance,
+                               solve_coalition_dispatch, solve_individual_dispatch)
 from coopgrid.formation import enumerate_partitions, structure_value
 from coopgrid.game import coalition_members, shapley_value
 from coopgrid.lp import LpStatus, solve_lp
@@ -116,11 +117,17 @@ def test_c03_dispatch_collapse():
         cap = scenario.nodes[0].storage_capacity
         s0 = float(rng.uniform(0.0, cap))
         k = int(rng.integers(0, 8))
-        breakdown, _ = coalition_value((0,), np.array([s0]), scenario, k, 5, 1e-4)
-        from coopgrid.dispatch import solve_individual_dispatch
-        hs = slice_horizon(scenario, k, 5).select((0,))
-        individual = solve_individual_dispatch(hs, s0, cap)
+        window = slice_horizon(scenario, k, 5)
+        # the joint program on a one-node slice is the individual program
+        # plus an internal market with nobody to trade with; equal optima are
+        # what lets coalition_value route singletons to the individual program
+        individual = solve_individual_dispatch(window.select((0,)), s0, cap)
+        joint = solve_coalition_dispatch(window.select((0,)), [s0], [cap])
+        assert abs(joint.market_cost - individual.market_cost) <= 1e-8
+        breakdown, _ = coalition_value((0,), np.array([s0]), scenario, window, 1e-4)
+        assert breakdown.loss_cost == 0.0
         assert abs(breakdown.total - individual.market_cost) <= 1e-8
+        assert abs(breakdown.total - joint.market_cost) <= 1e-8
         checked += 1
     _report("criterion 3 (dispatch collapse)", f"{checked} single-node instances")
 
@@ -131,19 +138,21 @@ def test_c04_superadditivity_and_rho_monotonicity():
     for seed in (301, 302, 303):
         scenario = generate_synthetic_scenario(seed, n_nodes=4, n_steps=6)
         storage = np.zeros(4)
+        window = slice_horizon(scenario, 0, 5)
         values = {}
         for mask in range(1, 16):
             members = coalition_members(mask)
-            values[mask] = coalition_value(members, storage, scenario, 0, 5, 0.0)[0].total
+            values[mask] = coalition_value(members, storage, scenario, window, 0.0)[0].total
         for s in range(1, 16):
             for t in range(s + 1, 16):
                 if s & t:
                     continue
                 assert values[s | t] <= values[s] + values[t] + 1e-8
                 pairs_checked += 1
+        window = slice_horizon(scenario, 1, 5)
         for mask in (0b0011, 0b0110, 0b1101, 0b1111):
             members = coalition_members(mask)
-            totals = [coalition_value(members, storage, scenario, 1, 5, rho)[0].total
+            totals = [coalition_value(members, storage, scenario, window, rho)[0].total
                       for rho in rho_grid]
             for lo, hi in zip(totals, totals[1:]):
                 assert lo <= hi + 1e-12

@@ -99,7 +99,7 @@ def test_loss_cost_values():
 
 def test_coalition_value_composition():
     sc = surplus_deficit_pair()
-    breakdown, sol = coalition_value((0, 1), np.zeros(2), sc, 0, 1, 1e-4)
+    breakdown, sol = coalition_value((0, 1), np.zeros(2), sc, slice_horizon(sc, 0, 1), 1e-4)
     assert breakdown.mean_distance == pytest.approx(0.5)
     assert breakdown.market_cost == pytest.approx(0.0, abs=1e-9)
     assert breakdown.loss_cost == pytest.approx(4.5e-4, rel=1e-6)
@@ -109,9 +109,10 @@ def test_coalition_value_composition():
 
 def test_coalition_value_singleton(ref_scenario):
     storage = np.zeros(8)
+    window = slice_horizon(ref_scenario, 2, 5)
     for agent in range(4):
-        breakdown, _ = coalition_value((agent,), storage, ref_scenario, 2, 5, 1e-4)
-        hs = slice_horizon(ref_scenario, 2, 5).select((agent,))
+        breakdown, _ = coalition_value((agent,), storage, ref_scenario, window, 1e-4)
+        hs = window.select((agent,))
         ind = solve_individual_dispatch(hs, 0.0, ref_scenario.nodes[agent].storage_capacity)
         assert breakdown.loss_cost == 0.0
         assert breakdown.mean_distance == 0.0
@@ -130,10 +131,11 @@ def test_superadditive_at_zero_loss():
     for seed in (0, 1, 2):
         sc = generate_synthetic_scenario(seed, n_nodes=4, n_steps=6)
         storage = np.zeros(4)
+        window = slice_horizon(sc, 0, 5)
         values = {}
         for mask in range(1, 16):
             members = tuple(i for i in range(4) if mask >> i & 1)
-            values[mask], _ = coalition_value(members, storage, sc, 0, 5, 0.0)
+            values[mask], _ = coalition_value(members, storage, sc, window, 0.0)
         for s, t in _all_disjoint_pairs(4):
             assert values[s | t].total <= values[s].total + values[t].total + 1e-8
 
@@ -141,9 +143,10 @@ def test_superadditive_at_zero_loss():
 def test_value_monotone_in_loss_weight():
     sc = generate_synthetic_scenario(4, n_nodes=4, n_steps=6)
     storage = np.zeros(4)
+    window = slice_horizon(sc, 1, 5)
     for mask in (0b11, 0b101, 0b1110, 0b1111):
         members = tuple(i for i in range(4) if mask >> i & 1)
-        totals = [coalition_value(members, storage, sc, 1, 5, rho)[0].total
+        totals = [coalition_value(members, storage, sc, window, rho)[0].total
                   for rho in RHO_SET]
         for lo, hi in zip(totals, totals[1:]):
             assert lo <= hi + 1e-12
@@ -168,8 +171,9 @@ def test_solution_invariants_on_random_coalitions():
         members = tuple(i for i in range(5) if mask >> i & 1)
         k = int(rng.integers(0, 8))
         storage = rng.uniform(0, caps)
-        _, sol = coalition_value(members, storage, sc, k, 5, 1e-4)
-        hs = slice_horizon(sc, k, 5).select(members)
+        window = slice_horizon(sc, k, 5)
+        _, sol = coalition_value(members, storage, sc, window, 1e-4)
+        hs = window.select(members)
         for arr in (sol.grid_buy, sol.grid_sell, sol.coal_buy, sol.coal_sell):
             assert np.min(arr) >= -1e-10
         assert np.all(sol.storage_level >= -1e-8)

@@ -131,6 +131,21 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["--nodes", "0"],
+    ["--steps", "0"],
+    ["--nodes", "17", "--mode", "coalitional"],
+    ["--nodes", "17", "--mode", "grid-only,coalitional"],
+])
+def test_cli_bad_generated_world_is_input_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["--generate", "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()  # rejected before any run starts
+
+
 def test_cli_sweep_rho(tmp_path):
     out = tmp_path / "sweep"
     code = main(["--generate", "--seed", "3", "--nodes", "3", "--steps", "3",

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from helpers import make_node, make_scenario
 
 from coopgrid.errors import ScenarioError
 from coopgrid.scenario import (MIN_PRICE_MARGIN, generate_synthetic_scenario,
                                load_scenario, serialize_scenario, slice_horizon,
                                validate_scenario)
+from coopgrid.sim import SimConfig, SimMode, run
 
 MINIMAL_DOC = json.dumps({
     "step_hours": 1.0,
@@ -40,6 +42,34 @@ def test_bad_tariff_names_node_and_step():
         load_scenario(json.dumps(doc))
     assert "node 3" in str(err.value)
     assert "step 5" in str(err.value)
+
+
+def test_crossed_tariffs_between_nodes_rejected():
+    # each node keeps its own buy > sell, but node 1 sells above node 0's buy
+    # price at step 1, so a coalition of the two could trade without bound
+    nodes = [make_node(0, [1.0, 1.0], [0.0, 0.0], [0.08, 0.08], [0.05, 0.05]),
+             make_node(1, [1.0, 1.0], [0.0, 0.0], [0.12, 0.12], [0.05, 0.09])]
+    issues = validate_scenario(make_scenario(nodes))
+    assert len(issues) == 1
+    assert "step 1" in issues[0]
+    assert "node 1" in issues[0] and "node 0" in issues[0]
+    with pytest.raises(ScenarioError, match="step 1"):
+        run(make_scenario(nodes), SimConfig(mode=SimMode.COALITIONAL))
+
+
+def test_crossed_tariff_steps_match_pairwise_search():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        n, steps = int(rng.integers(2, 6)), 6
+        buy = rng.uniform(0.05, 0.15, (n, steps))
+        sell = buy * rng.uniform(0.3, 1.05, (n, steps))
+        nodes = [make_node(i, [1.0] * steps, [0.0] * steps, buy[i], sell[i])
+                 for i in range(n)]
+        flagged = {int(issue.split(":")[0].split()[1])
+                   for issue in validate_scenario(make_scenario(nodes))}
+        crossed = {t for t in range(steps) for i in range(n) for j in range(n)
+                   if sell[i, t] >= buy[j, t]}
+        assert flagged == crossed
 
 
 def test_unknown_field_rejected():

@@ -1,7 +1,11 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 from helpers import make_node, make_scenario, surplus_deficit_pair, traces_equal
 
+from coopgrid import dispatch, sim
 from coopgrid.dispatch import mean_pairwise_distance
 from coopgrid.scenario import generate_synthetic_scenario
 from coopgrid.sim import SimConfig, SimMode, run, settle_step
@@ -43,6 +47,33 @@ def test_single_agent_coalitional_reproduces_grid_storage_bitwise():
     storage = run(scenario, SimConfig(mode=SimMode.GRID_STORAGE))
     coalitional = run(scenario, SimConfig(mode=SimMode.COALITIONAL, loss_weight=1e-4))
     assert traces_equal(storage, coalitional)
+
+
+def test_each_coalition_is_solved_once_per_step(monkeypatch):
+    # with reform period 3 the blocks are repriced between sweeps, and this
+    # world keeps a singleton block at every step
+    scenario = generate_synthetic_scenario(23, n_nodes=4, n_steps=6)
+    real_step, real_solve = sim.step, dispatch.solve_lp
+    current = {}
+    solves = Counter()
+
+    def counting_step(state, *args, **kwargs):
+        current["step"] = state.step
+        return real_step(state, *args, **kwargs)
+
+    def counting_solve(program):
+        # both dispatch solvers pass the program of their horizon slice `slice_`
+        members = inspect.currentframe().f_back.f_locals["slice_"].node_ids
+        solves[(current["step"], members)] += 1
+        return real_solve(program)
+
+    monkeypatch.setattr(sim, "step", counting_step)
+    monkeypatch.setattr(dispatch, "solve_lp", counting_solve)
+    trace = run(scenario, SimConfig(mode=SimMode.COALITIONAL, loss_weight=2e-3,
+                                    horizon=3, reform_period=3))
+    assert all(any(len(b) == 1 for b in res.partition.blocks) for res in trace.steps)
+    repeated = sorted(key for key, count in solves.items() if count > 1)
+    assert solves and not repeated
 
 
 def test_self_sufficient_agents_stay_single_with_zero_charges():
