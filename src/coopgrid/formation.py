@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import MissingCoalitionError
-from .game import CharacteristicFunction, PayoffMap, coalition_mask, coalition_members
+from .game import (CharacteristicFunction, PayoffMap, coalition_mask, coalition_members,
+                   value_getter)
 
 
 @dataclass(frozen=True)
@@ -129,17 +130,10 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def structure_value(partition: Partition, values) -> StructureValue:
     """Aggregate cost of a partition: the sum of its block values."""
-    if isinstance(values, CharacteristicFunction):
-        lookup = values.values
-    else:
-        lookup = values
+    get = value_getter(values)
     total = 0.0
     for block in partition.blocks:
-        mask = coalition_mask(block)
-        try:
-            total += lookup[mask]
-        except KeyError:
-            raise MissingCoalitionError(f"no value for block {block}") from None
+        total += get(coalition_mask(block))
     return StructureValue(partition=partition, value=total)
 
 

@@ -9,8 +9,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .dispatch import (DEFAULT_TRANSFER_REG, CoalitionValueBreakdown, DispatchSolution,
-                       coalition_value)
+from .dispatch import CoalitionValueBreakdown, DispatchSolution, coalition_value
 from .errors import DispatchError, MissingCoalitionError
 from .scenario import Scenario, slice_horizon
 
@@ -57,10 +56,6 @@ class CharacteristicFunction:
 
     n_agents: int
     entries: dict[int, CoalitionEntry]
-
-    @property
-    def values(self) -> dict[int, float]:
-        return {mask: entry.value for mask, entry in self.entries.items()}
 
     def value(self, coalition) -> float:
         mask = coalition if isinstance(coalition, int) else coalition_mask(coalition)
@@ -110,9 +105,7 @@ class PriceRecord:
 
 
 def characteristic_function(storage_levels, scenario: Scenario, k: int,
-                            horizon: int, loss_weight: float,
-                            transfer_reg: float = DEFAULT_TRANSFER_REG,
-                            ) -> CharacteristicFunction:
+                            horizon: int, loss_weight: float) -> CharacteristicFunction:
     """Price every nonempty coalition at step ``k`` over one horizon slice."""
     n = scenario.n_nodes
     if n > MAX_SWEEP_AGENTS:
@@ -123,14 +116,16 @@ def characteristic_function(storage_levels, scenario: Scenario, k: int,
         members = coalition_members(mask)
         try:
             breakdown, sol = coalition_value(members, storage_levels, scenario, hs,
-                                             loss_weight, transfer_reg)
+                                             loss_weight)
         except DispatchError as exc:
             raise DispatchError(f"coalition {members}: {exc}") from exc
         entries[mask] = CoalitionEntry(breakdown, sol)
     return CharacteristicFunction(n_agents=n, entries=entries)
 
 
-def _value_getter(values):
+def value_getter(values):
+    """Mask -> value lookup over a dict or a :class:`CharacteristicFunction`;
+    a missing coalition raises :class:`MissingCoalitionError`."""
     if isinstance(values, CharacteristicFunction):
         return values.value
     def get(mask: int) -> float:
@@ -157,7 +152,7 @@ def shapley_value(values, members) -> np.ndarray:
     m = len(members)
     if m == 0:
         raise ValueError("coalition must be nonempty")
-    get = _value_getter(values)
+    get = value_getter(values)
     fact = [math.factorial(j) for j in range(m + 1)]
     full = coalition_mask(members)
     shares = np.zeros(m)

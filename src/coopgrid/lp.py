@@ -41,7 +41,6 @@ class LinearProgram:
     ub_rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    var_names: tuple = ()
 
     @property
     def n_vars(self) -> int:
@@ -73,7 +72,7 @@ def _as_vector(v) -> np.ndarray:
 
 
 def make_program(objective, eq_matrix=None, eq_rhs=None, ub_matrix=None,
-                 ub_rhs=None, lower=None, upper=None, var_names=()) -> LinearProgram:
+                 ub_rhs=None, lower=None, upper=None) -> LinearProgram:
     """Assemble a :class:`LinearProgram` from array-likes, filling empty parts.
 
     ``lower`` defaults to 0 and ``upper`` to +inf for every variable.
@@ -90,7 +89,6 @@ def make_program(objective, eq_matrix=None, eq_rhs=None, ub_matrix=None,
         ub_rhs=_as_vector(ub_rhs),
         lower=lo,
         upper=hi,
-        var_names=tuple(var_names),
     )
 
 

@@ -165,17 +165,28 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if len(nd.position) != 2 or not all(math.isfinite(v) for v in nd.position):
             issues.append(f"{tag}: position must be two finite coordinates")
     if aligned:
-        # internal trades carry no price, so a sell price at or above a buy
-        # price, one node's own or two nodes', lets a coalition holding both
-        # buy at one tariff and sell at the other without bound
-        buy = np.stack([nd.buy_price for nd in aligned])
-        sell = np.stack([nd.sell_price for nd in aligned])
-        seller, buyer = np.argmax(sell, axis=0), np.argmin(buy, axis=0)
-        for t in np.flatnonzero(sell.max(axis=0) >= buy.min(axis=0)):
-            issues.append(f"step {t}: node {aligned[seller[t]].node_id} sell_price[{t}] = "
-                          f"{sell[seller[t], t]} must stay below node "
-                          f"{aligned[buyer[t]].node_id} buy_price[{t}] = {buy[buyer[t], t]}")
+        crossed = crossed_tariffs(np.stack([nd.buy_price for nd in aligned]),
+                                  np.stack([nd.sell_price for nd in aligned]),
+                                  [nd.node_id for nd in aligned])
+        issues += [f"step {t}: {clash}" for t, clash in crossed]
     return issues
+
+
+def crossed_tariffs(buy_price, sell_price, node_ids) -> list[tuple[int, str]]:
+    """Steps where the highest sell price is not below the lowest buy price.
+
+    Internal trades carry no price, so a sell price at or above a buy
+    price, one node's own or two nodes', lets a coalition holding both buy
+    at one tariff and sell at the other without bound.  ``buy_price`` and
+    ``sell_price`` are (nodes, steps) arrays with rows in ``node_ids``
+    order; each step comes with a message naming the selling and the
+    buying node.
+    """
+    seller, buyer = np.argmax(sell_price, axis=0), np.argmin(buy_price, axis=0)
+    return [(int(t), f"node {node_ids[seller[t]]} sell_price[{t}] = "
+                     f"{sell_price[seller[t], t]} must stay below node "
+                     f"{node_ids[buyer[t]]} buy_price[{t}] = {buy_price[buyer[t], t]}")
+            for t in np.flatnonzero(sell_price.max(axis=0) >= buy_price.min(axis=0))]
 
 
 def _node_from_doc(doc: dict, index: int) -> NodeProfile:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dispatch import DEFAULT_TRANSFER_REG, CoalitionValueBreakdown, coalition_value
+from .dispatch import CoalitionValueBreakdown, coalition_value
 from .errors import DispatchError, ScenarioError
 from .formation import Partition, form_partition
 from .game import (CoalitionEntry, PayoffMap, PriceRecord, characteristic_function,
@@ -38,7 +38,6 @@ class SimConfig:
     mode: SimMode = SimMode.COALITIONAL
     horizon: int = 5
     loss_weight: float = 1e-5
-    transfer_reg: float = DEFAULT_TRANSFER_REG
     reform_period: int = 1
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class SimConfig:
             raise ValueError("horizon must be at least 1")
         if self.loss_weight < 0:
             raise ValueError("loss_weight must be nonnegative")
-        if self.transfer_reg < 0:
-            raise ValueError("transfer_reg must be nonnegative")
         if self.reform_period < 1:
             raise ValueError("reform_period must be at least 1")
 
@@ -145,7 +142,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
     pm: PayoffMap | None = None
     if coalitional and (prev_partition is None or k % config.reform_period == 0):
         cf = characteristic_function(state.storage, scenario, k, config.horizon,
-                                     config.loss_weight, config.transfer_reg)
+                                     config.loss_weight)
         pm = payoff_map(cf)
         partition = form_partition(pm)
         records = cf.entries
@@ -160,8 +157,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
                 members = coalition_members(sub)
                 try:
                     breakdown, sol = coalition_value(
-                        members, state.storage, scenario, hs,
-                        config.loss_weight, config.transfer_reg)
+                        members, state.storage, scenario, hs, config.loss_weight)
                 except DispatchError as exc:
                     raise DispatchError(f"step {k}, coalition {members}: {exc}") from exc
                 records[sub] = CoalitionEntry(breakdown, sol)

@@ -118,16 +118,19 @@ def test_c03_dispatch_collapse():
         s0 = float(rng.uniform(0.0, cap))
         k = int(rng.integers(0, 8))
         window = slice_horizon(scenario, k, 5)
-        # the joint program on a one-node slice is the individual program
-        # plus an internal market with nobody to trade with; equal optima are
-        # what lets coalition_value route singletons to the individual program
+        # the joint program on a one-node slice has no internal market, so it
+        # is the individual program, and coalition_value prices a singleton
+        # with it at no loss cost
         individual = solve_individual_dispatch(window.select((0,)), s0, cap)
         joint = solve_coalition_dispatch(window.select((0,)), [s0], [cap])
-        assert abs(joint.market_cost - individual.market_cost) <= 1e-8
-        breakdown, _ = coalition_value((0,), np.array([s0]), scenario, window, 1e-4)
+        breakdown, priced = coalition_value((0,), np.array([s0]), scenario, window, 1e-4)
+        for sol in (joint, priced):
+            assert sol.market_cost == individual.market_cost
+            for field in ("storage_delta", "storage_level", "grid_buy", "grid_sell",
+                          "coal_buy", "coal_sell"):
+                assert np.array_equal(getattr(sol, field), getattr(individual, field))
         assert breakdown.loss_cost == 0.0
-        assert abs(breakdown.total - individual.market_cost) <= 1e-8
-        assert abs(breakdown.total - joint.market_cost) <= 1e-8
+        assert breakdown.total == individual.market_cost
         checked += 1
     _report("criterion 3 (dispatch collapse)", f"{checked} single-node instances")
 

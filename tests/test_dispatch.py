@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import make_node, make_scenario, surplus_deficit_pair
 
-from coopgrid.dispatch import (build_individual_lp, coalition_value,
+from coopgrid.dispatch import (build_coalition_lp, build_individual_lp, coalition_value,
                                evaluate_loss_cost, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
 from coopgrid.errors import DispatchError
@@ -10,6 +10,8 @@ from coopgrid.lp import solve_lp
 from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
 
 RHO_SET = (0.0, 1e-5, 1e-4, 5e-4, 5e-3)
+FLOW_FIELDS = ("storage_delta", "storage_level", "grid_buy", "grid_sell",
+               "coal_buy", "coal_sell")
 
 
 def _single_slice(demand, generation, buy, sell, node_id=0):
@@ -50,9 +52,10 @@ def test_singleton_coalition_collapses_to_individual():
         hs = slice_horizon(sc, k, 5).select((0,))
         ind = solve_individual_dispatch(hs, s0, sc.nodes[0].storage_capacity)
         coal = solve_coalition_dispatch(hs, [s0], [sc.nodes[0].storage_capacity])
-        assert coal.market_cost == pytest.approx(ind.market_cost, abs=1e-8)
-        assert np.max(coal.coal_buy) <= 1e-12
-        assert np.max(coal.coal_sell) <= 1e-12
+        assert coal.market_cost == ind.market_cost
+        for field in FLOW_FIELDS:
+            assert np.array_equal(getattr(coal, field), getattr(ind, field))
+        assert not np.any(coal.coal_buy) and not np.any(coal.coal_sell)
 
 
 def test_pair_routes_surplus_internally():
@@ -193,6 +196,17 @@ def test_unbounded_names_tariff_violation():
         solve_individual_dispatch(hs, 0.0, 0.0)
 
 
+def test_unbounded_names_crossed_tariffs_between_nodes():
+    # each node keeps buy > sell, but node 1 sells above node 0's buy price at
+    # step 1; a direct call skips the validation that would refuse the world
+    nodes = [make_node(0, [1.0, 1.0], [0.0, 0.0], [0.08, 0.08], [0.05, 0.05]),
+             make_node(1, [1.0, 1.0], [0.0, 0.0], [0.12, 0.12], [0.05, 0.09])]
+    sc = make_scenario(nodes)
+    with pytest.raises(DispatchError,
+                       match=r"node 1 sell_price.* node 0 buy_price.* horizon step 1"):
+        coalition_value((0, 1), np.zeros(2), sc, slice_horizon(sc, 0, 2), 1e-5)
+
+
 def test_individual_lp_shape():
     hs = _single_slice([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.1] * 3, [0.05] * 3)
     prog = build_individual_lp(hs, 0.0, 2.0)
@@ -200,3 +214,9 @@ def test_individual_lp_shape():
     assert prog.eq_matrix.shape == (6, 12)
     sol = solve_lp(prog)
     assert sol.objective_value == pytest.approx(0.3, abs=1e-9)
+    # one member has no internal market: no coalition flows, no clearing rows
+    joint = build_coalition_lp(hs, [0.0], [2.0])
+    assert joint.n_vars == 12
+    assert joint.eq_matrix.shape == (6, 12)
+    pair = slice_horizon(surplus_deficit_pair(steps=3), 0, 3)
+    assert build_coalition_lp(pair, [0.0, 0.0], [0.0, 0.0]).eq_matrix.shape == (15, 36)
