@@ -1,4 +1,4 @@
-"""Dense linear programming in canonical form.
+"""Linear programming in canonical form.
 
 The canonical shape used throughout this package is: minimize ``c @ x``
 subject to ``A_eq @ x == b_eq``, ``A_ub @ x <= b_ub`` and box bounds
@@ -8,9 +8,12 @@ be finite.
 The solver is a two-phase primal simplex on a dense tableau with Bland's
 smallest-index pivoting rule.  Bland's rule needs more pivots than the
 usual heuristics, but it cannot cycle and it makes every solve bitwise
-reproducible, which the simulation layer relies on.  Problem sizes here
-stay in the low hundreds of variables, where dense tableau updates are
-cheap.
+reproducible, which the simulation layer relies on.  Each pivot scans the
+entering column once and eliminates only the rows where that column is
+nonzero (about a tenth of them in the dispatch programs).  A full-tableau
+update would only subtract ±0 from the rows it skips, which leaves every
+nonzero entry as it is, so pivot choices, points and objectives are those
+of the full update.
 """
 
 from dataclasses import dataclass
@@ -49,11 +52,18 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Solve outcome; ``point`` and ``objective_value`` are None unless optimal."""
+    """Solve outcome; ``point`` and ``objective_value`` are None unless optimal.
+
+    ``phase1_pivots`` counts the pivots that minimize the artificial
+    variables plus those that drive zero-valued artificials out of the
+    basis; ``phase2_pivots`` counts the pivots on the real objective.
+    """
 
     status: LpStatus
     point: np.ndarray | None
     objective_value: float | None
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
 
 
 def _as_matrix(m, n: int) -> np.ndarray:
@@ -138,40 +148,44 @@ def validate_lp(problem: LinearProgram) -> list[str]:
 
 
 def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int,
-           buf: np.ndarray) -> None:
-    t[row, :] /= t[row, col]
-    np.multiply(t[:, col:col + 1], t[row:row + 1, :], out=buf)
-    buf[row, :] = 0.0
-    t -= buf
+           rows: np.ndarray) -> None:
+    """Pivot on ``t[row, col]``, eliminating in ``rows``: the rows whose
+    entry in ``col`` is nonzero, ``row`` among them."""
+    prow = t[row, :] / t[row, col]
+    t[rows, :] -= t[rows, col][:, None] * prow
+    t[row, :] = prow
     # keep the basic column an exact unit vector to limit drift
     t[:, col] = 0.0
     t[row, col] = 1.0
     basis[row] = col
 
 
-def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int,
-                         buf: np.ndarray) -> str:
+def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int) -> tuple[str, int]:
     """Run Bland-rule pivots until no reduced cost is negative.
 
     ``limit`` is the number of leftmost columns eligible to enter (it
-    excludes the rhs column).
+    excludes the rhs column).  Returns the outcome and the pivot count.
     """
     m = t.shape[0] - 1
     max_iter = 2000 + 200 * (m + limit)
-    for _ in range(max_iter):
-        neg = np.flatnonzero(t[m, :limit] < -PIVOT_TOL)
+    for pivots in range(max_iter):
+        neg = (t[m, :limit] < -PIVOT_TOL).nonzero()[0]
         if neg.size == 0:
-            return "optimal"
+            return "optimal", pivots
         enter = int(neg[0])  # Bland: smallest eligible index
-        col = t[:m, enter]
-        rows = np.flatnonzero(col > PIVOT_TOL)
+        nz = t[:, enter].nonzero()[0]
+        # the objective row is in nz, but its entry is negative, so it never
+        # passes the ratio test
+        col = t[nz, enter]
+        positive = col > PIVOT_TOL
+        rows = nz[positive]
         if rows.size == 0:
-            return "unbounded"
-        ratios = t[rows, -1] / col[rows]
+            return "unbounded", pivots
+        ratios = t[rows, -1] / col[positive]
         rmin = ratios.min()
         tie = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
-        leave = int(tie[np.argmin(basis[tie])])  # Bland tie-break: smallest basic index
-        _pivot(t, basis, leave, enter, buf)
+        leave = int(tie[basis[tie].argmin()])  # Bland tie-break: smallest basic index
+        _pivot(t, basis, leave, enter, nz)
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
@@ -198,7 +212,7 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 
     # shift to y = x - lower >= 0; finite upper bounds become extra rows
     span = hi - lo
-    bounded = np.flatnonzero(np.isfinite(span))
+    bounded = np.isfinite(span).nonzero()[0]
     nb = bounded.size
     m = me + mu + nb
     ncols = n + mu + nb
@@ -212,75 +226,82 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         a[me:me + mu, :n] = aub
         a[me:me + mu, n:n + mu] = np.eye(mu)
         b[me:me + mu] = bub - aub @ lo
-    for r, j in enumerate(bounded):
-        a[me + mu + r, j] = 1.0
-        a[me + mu + r, n + mu + r] = 1.0
-        b[me + mu + r] = span[j]
+    bound_rows = np.arange(me + mu, m)
+    a[bound_rows, bounded] = 1.0
+    a[bound_rows, n + mu + np.arange(nb)] = 1.0
+    b[me + mu:] = span[bounded]
 
     negative = b < 0
-    if np.any(negative):
+    if negative.any():
         a[negative] = -a[negative]
         b[negative] = -b[negative]
 
     # crash basis: any column whose only nonzero entry is positive can seed
     # its row's basis after scaling that row (slack columns are the common
-    # case, one-sided flow variables the useful one); artificials elsewhere
+    # case, one-sided flow variables the useful one); in each row the
+    # smallest such column wins, and the other rows get artificials
     basis = np.full(m, -1, dtype=np.int64)
-    singleton = np.flatnonzero((a != 0.0).sum(axis=0) == 1)
-    for j in singleton:
-        i = int(np.flatnonzero(a[:, j])[0])
-        if basis[i] == -1 and a[i, j] > 0.0:
-            if a[i, j] != 1.0:
-                b[i] /= a[i, j]
-                a[i, :] /= a[i, j]
-            basis[i] = j
-    art_rows = [i for i in range(m) if basis[i] == -1]
-    nart = len(art_rows)
+    seeds = (a > 0.0) & ((a != 0.0).sum(axis=0) == 1)
+    seeded = seeds.any(axis=1).nonzero()[0]
+    if seeded.size:
+        cols = seeds[seeded].argmax(axis=1)
+        basis[seeded] = cols
+        piv = a[seeded, cols]
+        scale = piv != 1.0
+        rows, piv = seeded[scale], piv[scale]
+        b[rows] /= piv
+        a[rows, :] /= piv[:, None]
+    art_rows = (basis == -1).nonzero()[0]
+    nart = art_rows.size
 
     t = np.zeros((m + 1, ncols + nart + 1))
     t[:m, :ncols] = a
     t[:m, -1] = b
-    for pos, i in enumerate(art_rows):
-        t[i, ncols + pos] = 1.0
-        basis[i] = ncols + pos
+    art_cols = ncols + np.arange(nart)
+    t[art_rows, art_cols] = 1.0
+    basis[art_rows] = art_cols
 
+    phase1 = 0
     if nart:
         # phase 1: minimize the sum of artificial variables
-        buf = np.empty_like(t)
         t[m, ncols:ncols + nart] = 1.0
         for i in art_rows:
             t[m, :] -= t[i, :]
-        if _pivot_until_optimal(t, basis, ncols + nart, buf) == "unbounded":
+        outcome, phase1 = _pivot_until_optimal(t, basis, ncols + nart)
+        if outcome == "unbounded":
             # the phase-1 objective is bounded below by zero
             raise ArithmeticError("phase-1 simplex reported an unbounded ray")
         if -t[m, -1] > FEAS_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, None, None)
-        for i in range(m):
-            if basis[i] >= ncols:
-                nz = np.flatnonzero(np.abs(t[i, :ncols]) > PIVOT_TOL)
-                if nz.size:
-                    _pivot(t, basis, i, int(nz[0]), buf)
+            return LpSolution(LpStatus.INFEASIBLE, None, None, phase1)
+        # drive artificials still basic (at zero) out where a real column can
+        # replace them; a pivot only changes the basis of its own row
+        for i in (basis >= ncols).nonzero()[0]:
+            nz = (np.abs(t[i, :ncols]) > PIVOT_TOL).nonzero()[0]
+            if nz.size:
+                j = int(nz[0])
+                _pivot(t, basis, i, j, t[:, j].nonzero()[0])
+                phase1 += 1
 
     # rows still carrying an artificial basic are redundant; drop them and
     # rebuild the tableau with the real objective for phase 2
-    keep = [i for i in range(m) if basis[i] < ncols]
-    t2 = np.zeros((len(keep) + 1, ncols + 1))
+    keep = (basis < ncols).nonzero()[0]
+    t2 = np.zeros((keep.size + 1, ncols + 1))
     t2[:-1, :ncols] = t[keep, :ncols]
     t2[:-1, -1] = t[keep, -1]
-    basis2 = basis[keep].copy()
+    basis2 = basis[keep]
 
     cost = np.zeros(ncols)
     cost[:n] = c
     t2[-1, :ncols] = cost
-    for i, bi in enumerate(basis2):
-        cb = cost[bi]
-        if cb != 0.0:
-            t2[-1, :] -= cb * t2[i, :]
+    basic_cost = cost[basis2]
+    for i in basic_cost.nonzero()[0]:
+        t2[-1, :] -= basic_cost[i] * t2[i, :]
 
-    if _pivot_until_optimal(t2, basis2, ncols, np.empty_like(t2)) == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None)
+    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols)
+    if outcome == "unbounded":
+        return LpSolution(LpStatus.UNBOUNDED, None, None, phase1, phase2)
 
     y = np.zeros(ncols)
     y[basis2] = t2[:-1, -1]
     x = lo + y[:n]
-    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x))
+    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), phase1, phase2)

@@ -1,9 +1,13 @@
+import lp_dense_reference
 import numpy as np
 import pytest
 
+from coopgrid.dispatch import build_coalition_lp
 from coopgrid.errors import LpValidationError
-from coopgrid.lp import LpStatus, make_program, solve_lp, validate_lp
+from coopgrid.game import coalition_members
+from coopgrid.lp import PIVOT_TOL, LpStatus, make_program, solve_lp, validate_lp
 from coopgrid.oracles import brute_force_lp, random_box_lp
+from coopgrid.scenario import slice_horizon
 
 
 def test_bound_active_minimum():
@@ -106,3 +110,123 @@ def test_solve_rejects_malformed():
     prog.eq_rhs = np.array([1.0, 2.0])
     with pytest.raises(LpValidationError):
         solve_lp(prog)
+
+
+# --- the row-sparse solver against the dense-tableau reference ---------------
+
+def _assert_same_solution(got, want):
+    assert got.status is want.status
+    assert (got.phase1_pivots, got.phase2_pivots) == (want.phase1_pivots, want.phase2_pivots)
+    if want.point is None:
+        assert got.point is None and got.objective_value is None
+    else:
+        assert np.array_equal(got.point, want.point)
+        assert got.objective_value == want.objective_value
+
+
+def _degenerate_lp(rng):
+    """Small-integer program whose <= rows mostly have rhs 0, so ratio tests
+    tie often and Bland's smallest-basic-index tie-break decides the pivot."""
+    n = int(rng.integers(2, 7))
+    me = int(rng.integers(0, 3))
+    mu = int(rng.integers(2, 8))
+    anchor = rng.integers(0, 3, n).astype(float)
+    aeq = rng.integers(-2, 3, (me, n)).astype(float)
+    aub = rng.integers(-2, 3, (mu, n)).astype(float)
+    bub = np.where(rng.uniform(size=mu) < 0.7, 0.0, rng.integers(1, 3, mu).astype(float))
+    upper = np.where(rng.uniform(size=n) < 0.3, np.inf, rng.integers(1, 4, n).astype(float))
+    return make_program(rng.integers(-3, 4, n).astype(float), aeq, aeq @ anchor,
+                        aub, bub, lower=np.zeros(n), upper=upper)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 23, 102, 20240917])
+def test_matches_dense_reference_on_random_programs(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(150):
+        prog = random_box_lp(rng)
+        _assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
+    for _ in range(50):
+        prog = random_box_lp(rng, max_vars=12, max_eq=5, max_ub=10)
+        _assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
+
+
+def test_matches_dense_reference_on_ratio_ties(monkeypatch):
+    broken = {"ties": 0, "later_row": 0}
+    real_pivot = lp_dense_reference._pivot
+
+    def watching_pivot(t, basis, row, col, buf):
+        # recompute the reference's ratio test to see which pivots it tie-broke
+        m = t.shape[0] - 1
+        rows = np.flatnonzero(t[:m, col] > PIVOT_TOL)
+        if rows.size:
+            ratios = t[rows, -1] / t[rows, col]
+            rmin = ratios.min()
+            tie = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
+            if tie.size > 1 and row in tie:
+                broken["ties"] += 1
+                broken["later_row"] += int(row != tie[0])
+        real_pivot(t, basis, row, col, buf)
+
+    monkeypatch.setattr(lp_dense_reference, "_pivot", watching_pivot)
+    rng = np.random.default_rng(41)
+    statuses = set()
+    for _ in range(400):
+        prog = _degenerate_lp(rng)
+        want = lp_dense_reference.solve_lp(prog)
+        _assert_same_solution(solve_lp(prog), want)
+        statuses.add(want.status)
+    assert statuses == set(LpStatus)
+    # the tie-break must have picked a row other than the first tied one
+    assert broken["later_row"] > 0, broken
+
+
+def test_matches_dense_reference_on_reference_step_zero(ref_scenario):
+    hs = slice_horizon(ref_scenario, 0, 5)
+    storage = ref_scenario.storage_init
+    caps = ref_scenario.storage_capacities
+    phase1 = 0
+    for mask in range(1, 1 << ref_scenario.n_nodes):
+        members = list(coalition_members(mask))
+        prog = build_coalition_lp(hs.select(members), storage[members], caps[members])
+        got = solve_lp(prog)
+        _assert_same_solution(got, lp_dense_reference.solve_lp(prog))
+        assert got.status is LpStatus.OPTIMAL
+        phase1 += got.phase1_pivots
+    assert phase1 > 0
+
+
+# --- crash basis ---------------------------------------------------------------
+
+@pytest.mark.parametrize("objective, status", [([1.0, 2.0], LpStatus.OPTIMAL),
+                                               ([1.0, -1.0], LpStatus.UNBOUNDED)])
+def test_no_constraint_rows(objective, status):
+    prog = make_program(objective, lower=[1.0, -2.0])
+    sol = solve_lp(prog)
+    assert sol.status is status
+    assert (sol.phase1_pivots, sol.phase2_pivots) == (0, 0)
+    _assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
+    if status is LpStatus.OPTIMAL:
+        assert np.array_equal(sol.point, [1.0, -2.0])
+
+
+def test_crash_basis_seeds_smaller_singleton_column():
+    # x0 and x1 both appear only in the one row; with a zero objective the
+    # crash basis is already optimal, so the point shows which column seeded
+    prog = make_program([0.0, 0.0], eq_matrix=[[2.0, 4.0]], eq_rhs=[6.0])
+    sol = solve_lp(prog)
+    assert sol.status is LpStatus.OPTIMAL
+    assert np.array_equal(sol.point, [3.0, 0.0])
+    assert (sol.phase1_pivots, sol.phase2_pivots) == (0, 0)
+    _assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
+
+
+def test_crash_basis_skips_negative_singleton_column():
+    # x0 appears only in row 0, with a negative entry, so row 0 needs an
+    # artificial; x2 seeds row 1
+    prog = make_program([1.0, 0.0, 0.0], eq_matrix=[[-1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                        eq_rhs=[1.0, 5.0])
+    sol = solve_lp(prog)
+    assert sol.status is LpStatus.OPTIMAL
+    assert np.array_equal(sol.point, [0.0, 1.0, 4.0])
+    assert sol.phase1_pivots == 1
+    _assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
