@@ -99,7 +99,7 @@ def _oracle_check() -> int:
         if np.max(np.abs(got - want)) > 1e-9:
             print(f"oracle-check FAIL: shapley trial {trial}")
             return EXIT_RUNTIME
-    print("oracle-check: shapley weights match the all-orderings average on 30 games")
+    print("oracle-check: shapley shares match the all-orderings average on 30 games")
 
     from .formation import optimal_structure
     from .game import CharacteristicFunction, CoalitionEntry

@@ -3,9 +3,12 @@
 Coalitions are encoded as bit masks over agent ids (bit ``i`` set means
 agent ``i`` is a member).  All values are costs: lower is better, and a
 negative share is money earned.
+
+Every Shapley share is a difference of Hart–Mas-Colell potentials
+(Econometrica 57(3), 1989): P(0) = 0, P(S) = (v(S) + sum over i in S of
+P(S - i)) / |S|, and agent i's share in S is P(S) - P(S - i).
 """
 
-import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -137,53 +140,53 @@ def value_getter(values):
     return get
 
 
+def _potentials(get, full: int) -> dict[int, float]:
+    """Potential P(S) of every submask S of ``full``, filled in increasing
+    order so that each P(S - i) is in place before P(S) needs it."""
+    pot = {0: 0.0}
+    sub = 0
+    while sub != full:
+        sub = (sub - full) & full  # next submask of full, in increasing order
+        total = get(sub)
+        rest = sub
+        while rest:
+            bit = rest & -rest
+            total += pot[sub ^ bit]
+            rest ^= bit
+        pot[sub] = total / bin(sub).count("1")
+    return pot
+
+
 def shapley_value(values, members) -> np.ndarray:
     """Shapley cost shares for the coalition ``members``.
 
     ``values`` maps coalition masks to costs (a dict or a
     :class:`CharacteristicFunction`) and must cover every nonempty subset
-    of ``members``; the empty coalition is worth 0.  The weighted-subset
-    form is used: each subset C not containing agent i contributes
-    ``|C|! (m-|C|-1)! / m!`` times the marginal cost of i joining C.
+    of ``members``; the empty coalition is worth 0.  Agent i's share is
+    the drop in the Hart–Mas-Colell potential, P(S) - P(S - i), where
+    P(0) = 0 and P(S) = (v(S) + sum over i in S of P(S - i)) / |S|.
     Returns shares aligned with the sorted member tuple; they sum to the
     coalition's own value.
     """
-    members = tuple(sorted(members))
-    m = len(members)
-    if m == 0:
-        raise ValueError("coalition must be nonempty")
-    get = value_getter(values)
-    fact = [math.factorial(j) for j in range(m + 1)]
     full = coalition_mask(members)
-    shares = np.zeros(m)
-
-    sub = full
-    while True:  # iterate every submask of full, including 0
-        sub = (sub - 1) & full
-        v_sub = get(sub) if sub else 0.0
-        size = bin(sub).count("1")
-        weight = fact[size] * fact[m - size - 1] / fact[m]
-        for pos, agent in enumerate(members):
-            bit = 1 << agent
-            if not sub & bit:
-                shares[pos] += weight * (get(sub | bit) - v_sub)
-        if sub == 0:
-            break
-    return shares
+    if not full:
+        raise ValueError("coalition must be nonempty")
+    pot = _potentials(value_getter(values), full)
+    return np.array([pot[full] - pot[full ^ 1 << i] for i in coalition_members(full)])
 
 
 def payoff_map(cf: CharacteristicFunction) -> PayoffMap:
-    """Shapley shares inside every possible coalition of the full agent set."""
-    entries = {}
-    for mask in range(1, 1 << cf.n_agents):
-        entries[mask] = shapley_value(cf, coalition_members(mask))
+    """Shapley shares inside every coalition, read from one potential table."""
+    full = (1 << cf.n_agents) - 1
+    pot = _potentials(cf.value, full)
+    entries = {mask: np.array([pot[mask] - pot[mask ^ 1 << i] for i in coalition_members(mask)])
+               for mask in range(1, full + 1)}
     return PayoffMap(n_agents=cf.n_agents, entries=entries)
 
 
-def equivalent_price(charge: float, net_energy: float,
-                     floor: float = PRICE_ENERGY_FLOOR) -> float | None:
+def equivalent_price(charge: float, net_energy: float) -> float | None:
     """Implied per-kWh price of a settled charge; None when the net energy is
     too small for a ratio to mean anything."""
-    if abs(net_energy) <= floor:
+    if abs(net_energy) <= PRICE_ENERGY_FLOOR:
         return None
     return charge / net_energy

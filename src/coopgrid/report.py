@@ -61,8 +61,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def summarize_prices(trace: SimulationTrace,
-                     buyer_floor: float = PRICE_ENERGY_FLOOR) -> dict[int, float | None]:
+def summarize_prices(trace: SimulationTrace) -> dict[int, float | None]:
     """Per-agent mean equivalent price over the steps where the agent was a
     net buyer; None for agents that never bought."""
     if not trace.steps:
@@ -71,7 +70,7 @@ def summarize_prices(trace: SimulationTrace,
     for agent in range(trace.n_agents):
         samples = [rec.price for res in trace.steps
                    for rec in (res.prices[agent],)
-                   if rec.net_energy > buyer_floor and rec.price is not None]
+                   if rec.net_energy > PRICE_ENERGY_FLOOR and rec.price is not None]
         out[agent] = sum(samples) / len(samples) if samples else None
     return out
 

@@ -10,7 +10,7 @@ bounded.
 Document format (JSON text): top-level fields ``step_hours``,
 ``start_hour`` and ``nodes``; each node carries ``id``, ``position``
 (``{x_km, y_km}``), ``s_max_kwh``, ``s0_kwh`` and the four equal-length
-series ``demand_kwh``, ``generation_kwh``, ``buy_price``, ``sell_price``.
+flat series ``demand_kwh``, ``generation_kwh``, ``buy_price``, ``sell_price``.
 Unknown fields are rejected.
 """
 
@@ -141,11 +141,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         series = {"demand_kwh": nd.demand, "generation_kwh": nd.generation,
                   "buy_price": nd.buy_price, "sell_price": nd.sell_price}
         for name, arr in series.items():
-            if arr.size != n_steps:
-                issues.append(f"{tag}: {name} has length {arr.size}, expected {n_steps}")
+            if arr.shape != (n_steps,):
+                issues.append(f"{tag}: {name} must be a flat list of {n_steps} numbers, "
+                              f"got shape {arr.shape}")
             if arr.size and not np.all(np.isfinite(arr)):
                 issues.append(f"{tag}: {name} contains non-finite values")
-        if any(v.size != n_steps or not np.all(np.isfinite(v)) for v in series.values()):
+        if any(v.shape != (n_steps,) or not np.all(np.isfinite(v)) for v in series.values()):
             continue  # per-step checks below assume aligned finite series
         aligned.append(nd)
         for t in np.flatnonzero(nd.demand < 0):

@@ -91,8 +91,7 @@ class SimulationTrace:
     n_agents: int
 
 
-def settle_step(partition: Partition, first_step_values: dict[int, float],
-                n_agents: int | None = None) -> np.ndarray:
+def settle_step(partition: Partition, first_step_values: dict[int, float]) -> np.ndarray:
     """Split each block's realized one-step cost among its members.
 
     ``first_step_values`` maps coalition masks to one-step costs and must
@@ -100,13 +99,9 @@ def settle_step(partition: Partition, first_step_values: dict[int, float],
     its realized cost, so by Shapley efficiency the returned charges sum
     to it within rounding.
     """
-    if n_agents is None:
-        n_agents = len(partition.agents)
-    charges = np.zeros(n_agents)
-    for block in partition.blocks:
-        shares = shapley_value(first_step_values, block)
-        for pos, agent in enumerate(block):
-            charges[agent] = shares[pos]
+    charges = np.zeros(len(partition.agents))
+    for block in partition.blocks:  # blocks are sorted, as the shares are
+        charges[list(block)] = shapley_value(first_step_values, block)
     return charges
 
 
@@ -183,7 +178,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
 
     first_step_values = {mask: _one_step_cost(entry, hs, config.loss_weight)
                          for mask, entry in records.items()}
-    charges = settle_step(partition, first_step_values, n)
+    charges = settle_step(partition, first_step_values)
 
     net = grid_buy - grid_sell + coal_buy - coal_sell
     prices = [PriceRecord(agent=i, step=k, charge=float(charges[i]),

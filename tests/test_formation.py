@@ -5,7 +5,7 @@ from coopgrid.errors import MissingCoalitionError
 from coopgrid.formation import (Partition, enumerate_partitions, form_partition,
                                 optimal_structure, structure_value)
 from coopgrid.game import (CharacteristicFunction, CoalitionEntry, PayoffMap,
-                           coalition_members, shapley_value)
+                           coalition_members, payoff_map)
 from coopgrid.dispatch import CoalitionValueBreakdown
 from coopgrid.oracles import best_partition_by_enumeration, random_cost_game
 
@@ -19,9 +19,7 @@ def _cf_from_values(n, values):
 
 
 def _pm_from_values(n, values):
-    entries = {mask: shapley_value(values, coalition_members(mask))
-               for mask in range(1, 1 << n)}
-    return PayoffMap(n_agents=n, entries=entries)
+    return payoff_map(_cf_from_values(n, values))
 
 
 def test_partition_canonical_form():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from helpers import surplus_deficit_pair
 
+from coopgrid.dispatch import CoalitionValueBreakdown
 from coopgrid.errors import MissingCoalitionError
-from coopgrid.game import (characteristic_function, coalition_mask,
+from coopgrid.game import (CharacteristicFunction, CoalitionEntry,
+                           characteristic_function, coalition_mask,
                            coalition_members, equivalent_price, payoff_map,
                            shapley_value)
 from coopgrid.oracles import permutation_shapley, random_cost_game
@@ -130,6 +132,23 @@ def test_payoff_map_efficiency_and_standalone():
                                             abs=1e-9 * max(1.0, abs(entry.value)))
     for i in range(4):
         assert pm.standalone(i) == cf.value((i,))  # exact
+
+
+def test_payoff_map_matches_permutation_oracle():
+    rng = np.random.default_rng(12)
+    for n in range(2, 7):
+        game = random_cost_game(rng, n)
+        entries = {mask: CoalitionEntry(CoalitionValueBreakdown(v, 0.0, v, 0.0), None)
+                   for mask, v in game.items()}
+        pm = payoff_map(CharacteristicFunction(n_agents=n, entries=entries))
+        assert set(pm.entries) == set(game)
+        for mask, shares in pm.entries.items():
+            members = coalition_members(mask)
+            assert np.max(np.abs(shares - permutation_shapley(game, members))) <= 1e-9
+            # the map and a per-coalition call read the same potentials
+            assert np.array_equal(shares, shapley_value(game, members))
+        for i in range(n):
+            assert pm.standalone(i) == game[1 << i]  # exact
 
 
 def test_payoff_map_single_agent():

@@ -123,6 +123,21 @@ def test_cli_bad_tariff_names_node_and_step(tmp_path, capsys):
     assert "node 1" in err and "step 2" in err
 
 
+def test_cli_nested_series_is_input_error(tmp_path, capsys):
+    doc = json.loads(serialize_scenario(generate_synthetic_scenario(5, n_nodes=2, n_steps=4)))
+    for node in doc["nodes"]:
+        for name in ("demand_kwh", "generation_kwh", "buy_price", "sell_price"):
+            node[name] = [[v] for v in node[name]]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "node 1: sell_price must be a flat list" in err
+    assert not out.exists()
+
+
 def test_cli_usage_errors(capsys):
     assert main(["--nope"]) == 1
     assert main(["--generate"]) == 1  # no --out

@@ -72,6 +72,23 @@ def test_crossed_tariff_steps_match_pairwise_search():
         assert flagged == crossed
 
 
+SERIES = ("demand_kwh", "generation_kwh", "buy_price", "sell_price")
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda values: [[v] for v in values],  # nested: still two numbers per series
+    lambda values: values[0],              # scalar
+], ids=["nested", "scalar"])
+def test_series_that_are_not_flat_lists_rejected(reshape):
+    doc = json.loads(MINIMAL_DOC)
+    for name in SERIES:
+        doc["nodes"][0][name] = reshape(doc["nodes"][0][name])
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(json.dumps(doc))
+    for name in SERIES:
+        assert f"node 0: {name} must be a flat list" in str(err.value)
+
+
 def test_unknown_field_rejected():
     doc = json.loads(MINIMAL_DOC)
     doc["nodes"][0]["color"] = "red"
