@@ -15,9 +15,11 @@ from .errors import CoopGridError, ScenarioError
 from .game import MAX_SWEEP_AGENTS, shapley_value
 from .lp import LpStatus, solve_lp
 from .oracles import (best_partition_by_enumeration, brute_force_lp,
-                      permutation_shapley, random_box_lp, random_cost_game)
+                      permutation_shapley, pooled_market_cost, random_box_lp,
+                      random_cost_game)
 from .report import trace_label, write_reports
-from .scenario import generate_synthetic_scenario, load_scenario
+from .scenario import (generate_synthetic_scenario, load_scenario,
+                       reference_scenario, slice_horizon)
 from .sim import SimConfig, SimMode, run
 
 EXIT_OK = 0
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser.add_argument("--out", metavar="DIR", help="report output directory")
     parser.add_argument("--oracle-check", action="store_true",
-                        help="run the small-instance brute-force oracles and exit")
+                        help="run the oracle self-checks and exit")
     return parser
 
 
@@ -103,7 +105,7 @@ def _oracle_check() -> int:
 
     from .formation import optimal_structure
     from .game import CharacteristicFunction, CoalitionEntry
-    from .dispatch import CoalitionValueBreakdown
+    from .dispatch import CoalitionValueBreakdown, coalition_value
     for trial in range(20):
         n = int(rng.integers(2, 6))
         game = random_cost_game(rng, n)
@@ -115,6 +117,17 @@ def _oracle_check() -> int:
             print(f"oracle-check FAIL: structure trial {trial}")
             return EXIT_RUNTIME
     print("oracle-check: structure search matches independent enumeration on 20 games")
+
+    ref = reference_scenario()
+    window = slice_horizon(ref, 0, SimConfig().horizon)
+    members = tuple(range(ref.n_nodes))
+    want = coalition_value(members, ref.storage_init, ref, window, 0.0)[0].market_cost
+    got = pooled_market_cost(members, ref.storage_init, ref, window)
+    if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+        print(f"oracle-check FAIL: pooled market cost {got} vs grand coalition {want}")
+        return EXIT_RUNTIME
+    print("oracle-check: pooled program matches the grand coalition's market cost "
+          "at reference step 0")
     return EXIT_OK
 
 

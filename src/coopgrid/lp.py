@@ -14,6 +14,19 @@ nonzero (about a tenth of them in the dispatch programs).  A full-tableau
 update would only subtract ±0 from the rows it skips, which leaves every
 nonzero entry as it is, so pivot choices, points and objectives are those
 of the full update.
+
+A pivot leaves its column an exact unit vector without rewriting it: the
+scaled pivot row holds ``p / p``, which is 1.0 in IEEE 754, every
+eliminated row holds ``x - x * 1.0``, which is +0.0, and the rows the
+update skips already hold a zero.  Such a zero may be -0.0 where a
+rewrite would store +0.0.  The sign of a zero never changes which entries
+are nonzero, the value of a nonzero entry, or the rhs column, so the
+pivots, points and objectives stay the same.
+
+The phase-1 objective row and the phase-2 reduced costs are each one
+``np.subtract.reduce`` over stacked rows.  A reduction along the first
+axis subtracts the rows one at a time, left to right, so it rounds
+exactly as a loop of row subtractions in the same order.
 """
 
 from dataclasses import dataclass
@@ -103,14 +116,18 @@ def make_program(objective, eq_matrix=None, eq_rhs=None, ub_matrix=None,
 
 
 def validate_lp(problem: LinearProgram) -> list[str]:
-    """Return a list of structural violations; empty when the program is well formed."""
+    """Return a list of structural violations; empty when the program is well formed.
+
+    Every check is one pass over its array; messages are built only for the
+    checks that fail.
+    """
     issues: list[str] = []
     c = np.asarray(problem.objective, dtype=float)
     if c.ndim != 1 or c.size == 0:
         issues.append("objective must be a nonempty 1-d vector")
         return issues
     n = c.size
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         issues.append("objective contains non-finite entries")
 
     for label, mat, rhs in (("eq", problem.eq_matrix, problem.eq_rhs),
@@ -125,9 +142,9 @@ def validate_lp(problem: LinearProgram) -> list[str]:
         if r.ndim != 1 or r.size != m.shape[0]:
             issues.append(f"{label}_rhs length {r.size} does not match "
                           f"{label}_matrix row count {m.shape[0]}")
-        if m.size and not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             issues.append(f"{label}_matrix contains non-finite entries")
-        if r.size and not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             issues.append(f"{label}_rhs contains non-finite entries")
 
     lo = np.asarray(problem.lower, dtype=float)
@@ -137,26 +154,30 @@ def validate_lp(problem: LinearProgram) -> list[str]:
     if hi.size != n:
         issues.append(f"upper bound length {hi.size} does not match {n} variables")
     if lo.size == n and hi.size == n:
-        if not np.all(np.isfinite(lo)):
+        lo_finite = np.isfinite(lo).all()
+        if not lo_finite:
             issues.append("lower bounds must all be finite")
-        if np.any(np.isnan(hi)) or np.any(np.isneginf(hi)):
-            issues.append("upper bounds must be finite or +inf")
-        crossed = np.flatnonzero(lo > hi)
-        for j in crossed:
-            issues.append(f"crossed bounds at variable {j}: lower {lo[j]} > upper {hi[j]}")
+        # with every lower bound finite, lo <= hi fails exactly where an
+        # upper bound is NaN or -inf or the bounds cross
+        if not (lo_finite and (lo <= hi).all()):
+            if np.isnan(hi).any() or np.isneginf(hi).any():
+                issues.append("upper bounds must be finite or +inf")
+            for j in np.flatnonzero(lo > hi):
+                issues.append(f"crossed bounds at variable {j}: lower {lo[j]} > upper {hi[j]}")
     return issues
 
 
-def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int,
-           rows: np.ndarray) -> None:
-    """Pivot on ``t[row, col]``, eliminating in ``rows``: the rows whose
-    entry in ``col`` is nonzero, ``row`` among them."""
-    prow = t[row, :] / t[row, col]
-    t[rows, :] -= t[rows, col][:, None] * prow
-    t[row, :] = prow
-    # keep the basic column an exact unit vector to limit drift
-    t[:, col] = 0.0
-    t[row, col] = 1.0
+def _eliminate(t: np.ndarray, basis: np.ndarray, row: int, col: int,
+               rows: np.ndarray, entries: np.ndarray) -> None:
+    """Pivot on ``t[row, col]``.  ``rows`` are the rows whose entry in
+    ``col`` is nonzero, ``row`` among them, and ``entries`` those entries.
+
+    The pivot column comes out an exact unit vector: ``p / p`` is 1.0 and
+    every other eliminated entry is ``x - x * 1.0``, +0.0.
+    """
+    prow = t[row] / t[row, col]
+    t[rows] -= entries[:, None] * prow
+    t[row] = prow
     basis[row] = col
 
 
@@ -167,25 +188,32 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int) -> tuple[
     excludes the rhs column).  Returns the outcome and the pivot count.
     """
     m = t.shape[0] - 1
+    obj = t[m, :limit]
+    columns = t.T
+    rhs = columns[-1]
     max_iter = 2000 + 200 * (m + limit)
     for pivots in range(max_iter):
-        neg = (t[m, :limit] < -PIVOT_TOL).nonzero()[0]
-        if neg.size == 0:
+        eligible = obj < -PIVOT_TOL
+        enter = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[enter]:
             return "optimal", pivots
-        enter = int(neg[0])  # Bland: smallest eligible index
-        nz = t[:, enter].nonzero()[0]
+        column = columns[enter]
+        nz = column.nonzero()[0]
         # the objective row is in nz, but its entry is negative, so it never
         # passes the ratio test
-        col = t[nz, enter]
-        positive = col > PIVOT_TOL
+        entries = column[nz]
+        positive = entries > PIVOT_TOL
         rows = nz[positive]
-        if rows.size == 0:
+        if rows.size == 1:  # no ratio test (one pivot in seven in dispatch programs)
+            leave = int(rows[0])
+        elif rows.size == 0:
             return "unbounded", pivots
-        ratios = t[rows, -1] / col[positive]
-        rmin = ratios.min()
-        tie = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
-        leave = int(tie[basis[tie].argmin()])  # Bland tie-break: smallest basic index
-        _pivot(t, basis, leave, enter, nz)
+        else:
+            ratios = rhs[rows] / entries[positive]
+            rmin = np.minimum.reduce(ratios)
+            tie = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
+            leave = int(tie[basis[tie].argmin()])  # Bland tie-break: smallest basic index
+        _eliminate(t, basis, leave, enter, nz, entries)
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
@@ -217,7 +245,13 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     m = me + mu + nb
     ncols = n + mu + nb
 
-    a = np.zeros((m, ncols))
+    # one buffer holds both phases' tableaux, so neither the constraint rows
+    # nor the phase-2 rows are copied into a fresh array: m constraint rows
+    # and the objective row; the real columns, room for up to m artificial
+    # columns and the rhs column, which moves next to the artificials once
+    # their number is known
+    full = np.zeros((m + 1, ncols + m + 1))
+    a = full[:m, :ncols]
     b = np.zeros(m)
     if me:
         a[:me, :n] = aeq
@@ -254,8 +288,7 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     art_rows = (basis == -1).nonzero()[0]
     nart = art_rows.size
 
-    t = np.zeros((m + 1, ncols + nart + 1))
-    t[:m, :ncols] = a
+    t = full[:, :ncols + nart + 1]
     t[:m, -1] = b
     art_cols = ncols + np.arange(nart)
     t[art_rows, art_cols] = 1.0
@@ -263,10 +296,11 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 
     phase1 = 0
     if nart:
-        # phase 1: minimize the sum of artificial variables
+        # phase 1: minimize the sum of artificial variables; the objective
+        # row starts as the artificials' costs and subtracts each artificial
+        # row in turn, in one ordered reduction
         t[m, ncols:ncols + nart] = 1.0
-        for i in art_rows:
-            t[m, :] -= t[i, :]
+        t[m] = np.subtract.reduce(t[np.concatenate(([m], art_rows))], axis=0)
         outcome, phase1 = _pivot_until_optimal(t, basis, ncols + nart)
         if outcome == "unbounded":
             # the phase-1 objective is bounded below by zero
@@ -279,23 +313,31 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
             nz = (np.abs(t[i, :ncols]) > PIVOT_TOL).nonzero()[0]
             if nz.size:
                 j = int(nz[0])
-                _pivot(t, basis, i, j, t[:, j].nonzero()[0])
+                rows = t[:, j].nonzero()[0]
+                _eliminate(t, basis, i, j, rows, t[rows, j])
                 phase1 += 1
 
-    # rows still carrying an artificial basic are redundant; drop them and
-    # rebuild the tableau with the real objective for phase 2
+    # phase 2 drops the artificial columns, moving the rhs into the first
+    # one, and the rows still carrying an artificial basic, which are
+    # redundant; its objective row is rebuilt with the real costs
     keep = (basis < ncols).nonzero()[0]
-    t2 = np.zeros((keep.size + 1, ncols + 1))
-    t2[:-1, :ncols] = t[keep, :ncols]
-    t2[:-1, -1] = t[keep, -1]
+    full[:, ncols] = t[:, -1]
+    t2 = full[:, :ncols + 1]
+    if keep.size < m:
+        t2 = t2[np.append(keep, m)]
     basis2 = basis[keep]
 
+    # reduced costs: the cost row minus each priced basic row in turn, in
+    # one ordered reduction
     cost = np.zeros(ncols)
     cost[:n] = c
-    t2[-1, :ncols] = cost
     basic_cost = cost[basis2]
-    for i in basic_cost.nonzero()[0]:
-        t2[-1, :] -= basic_cost[i] * t2[i, :]
+    priced = basic_cost.nonzero()[0]
+    terms = np.empty((priced.size + 1, ncols + 1))
+    terms[0, :ncols] = cost
+    terms[0, -1] = 0.0
+    np.multiply(basic_cost[priced, None], t2[priced], out=terms[1:])
+    t2[-1] = np.subtract.reduce(terms, axis=0)
 
     outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols)
     if outcome == "unbounded":

@@ -1,10 +1,15 @@
-"""Independent brute-force checkers for the numerical core.
+"""Independent checkers for the numerical core.
 
-These deliberately share no code with the implementations they audit: the
-LP oracle enumerates candidate vertices directly, the Shapley oracle
-averages marginal contributions over every join order, and the structure
-oracle enumerates partitions by recursive insertion rather than growth
-strings.  They only scale to toy sizes, which is the point.
+The brute-force oracles share no code with the implementations they
+audit: the LP oracle enumerates candidate vertices directly, the Shapley
+oracle averages marginal contributions over every join order, and the
+structure oracle enumerates partitions by recursive insertion rather than
+growth strings.  They only scale to toy sizes, which is the point.
+
+The pooled-program oracle shares the LP solver but not the formulation:
+it prices a coalition's grid money on one pooled node instead of the
+per-member dispatch program, so agreement certifies that the coalition
+program's answer is optimal, not merely reproducible.
 """
 
 import itertools
@@ -12,7 +17,8 @@ import math
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, LpStatus
+from .lp import LinearProgram, LpSolution, LpStatus, make_program, solve_lp
+from .scenario import HorizonSlice, Scenario
 
 _ORACLE_FEAS_TOL = 1e-9
 
@@ -77,6 +83,43 @@ def brute_force_lp(problem: LinearProgram) -> LpSolution:
     if best_obj is None:
         return LpSolution(LpStatus.INFEASIBLE, None, None)
     return LpSolution(LpStatus.OPTIMAL, best_x, best_obj)
+
+
+def pooled_market_cost(members, storage, scenario: Scenario, slice_: HorizonSlice) -> float:
+    """Grid money of a coalition over the slice, priced as one pooled node.
+
+    Internal transfers are free and every sell price stays below every buy
+    price, so at an optimum the coalition buys at the step's lowest member
+    buy price and sells at its highest member sell price, and any pooled
+    storage path within the summed capacity splits into member paths.  The
+    program has one storage level, purchase and sale per step, with the
+    members' summed demand, generation, capacity and initial level
+    (``storage`` holds every node's level); the level bounds imply the
+    per-step storage change bounds.
+    """
+    members = sorted(members)
+    hs = slice_.select(members)
+    h = hs.horizon
+    cap = sum(scenario.nodes[i].storage_capacity for i in members)
+    s0 = float(np.sum(np.asarray(storage, dtype=float)[members]))
+    # per step t: level s_t, purchase, sale, with
+    # s_t - s_{t-1} - purchase + sale = generation - demand
+    cost = np.zeros(3 * h)
+    cost[1::3] = hs.buy_price.min(axis=0)
+    cost[2::3] = -hs.sell_price.max(axis=0)
+    aeq = np.zeros((h, 3 * h))
+    for t in range(h):
+        aeq[t, 3 * t:3 * t + 3] = (1.0, -1.0, 1.0)
+        if t:
+            aeq[t, 3 * (t - 1)] = -1.0
+    beq = hs.generation.sum(axis=0) - hs.demand.sum(axis=0)
+    beq[0] += s0
+    upper = np.full(3 * h, np.inf)
+    upper[0::3] = cap
+    sol = solve_lp(make_program(cost, aeq, beq, lower=np.zeros(3 * h), upper=upper))
+    if sol.status is not LpStatus.OPTIMAL:
+        raise ValueError(f"pooled program for {tuple(members)} is {sol.status.value}")
+    return sol.objective_value
 
 
 def permutation_shapley(values, members) -> np.ndarray:
@@ -157,7 +200,6 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 4,
     else:
         bub = aub @ anchor - rng.uniform(0.5, 2.0, mu)
 
-    from .lp import make_program
     return make_program(c, aeq, beq, aub, bub, lower=lo, upper=hi)
 
 

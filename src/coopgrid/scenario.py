@@ -16,6 +16,7 @@ Unknown fields are rejected.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -132,7 +133,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if ids != list(range(len(ids))):
         issues.append(f"node ids must be exactly 0..{len(ids) - 1} in order, got {ids}")
 
-    n_steps = scenario.nodes[0].demand.size
+    # expect the length most flat series share, so that one malformed series
+    # is reported alone; node 0's demand decides only when no series is flat
+    lengths = Counter(arr.size for nd in scenario.nodes
+                      for arr in (nd.demand, nd.generation, nd.buy_price, nd.sell_price)
+                      if arr.ndim == 1)
+    n_steps = lengths.most_common(1)[0][0] if lengths else scenario.nodes[0].demand.size
     if n_steps < 1:
         issues.append("series must have at least one step")
     aligned = []  # nodes whose series pass the length and finiteness checks

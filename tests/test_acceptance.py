@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 The heavyweight fixtures (full coalitional runs on the bundled 8-node
-scenario at the four loss weights) are shared module-wide.  Regression
+scenario at the four loss weights) are shared module-wide, also by the
+pooled-program certificate that follows the criteria.  Regression
 baselines live in tests/data/baseline_reference.json; they were recorded
 from the bundled scenario and any behavioral drift fails criterion 7.
 """
@@ -20,7 +21,7 @@ from coopgrid.formation import enumerate_partitions, structure_value
 from coopgrid.game import coalition_members, shapley_value
 from coopgrid.lp import LpStatus, solve_lp
 from coopgrid.oracles import (best_partition_by_enumeration, brute_force_lp,
-                              permutation_shapley, random_box_lp,
+                              permutation_shapley, pooled_market_cost, random_box_lp,
                               random_cost_game)
 from coopgrid.report import summarize_prices, trace_label
 from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
@@ -302,3 +303,20 @@ def test_c10_performance_and_determinism(ref_scenario, coalition_traces):
     _report("criterion 10 (performance + determinism)",
             f"full 17-step 8-node run with 255-coalition sweeps in {elapsed:.1f}s; "
             f"repeat run identical")
+
+
+@pytest.mark.parametrize("k", [0, 8, 16])
+def test_pooled_program_certifies_market_cost(ref_scenario, coalition_traces, k):
+    # every coalition's market cost at the storage state the run reached
+    trace = coalition_traces[1e-5]
+    storage = ref_scenario.storage_init if k == 0 else trace.steps[k - 1].storage_after
+    window = slice_horizon(ref_scenario, k, trace.config.horizon)
+    worst = 0.0
+    for mask in range(1, 1 << ref_scenario.n_nodes):
+        members = coalition_members(mask)
+        want = coalition_value(members, storage, ref_scenario, window, 1e-5)[0].market_cost
+        got = pooled_market_cost(members, storage, ref_scenario, window)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), members
+        worst = max(worst, abs(got - want))
+    _report(f"pooled-program certificate (step {k})",
+            f"255 coalitions, worst market-cost gap {worst:.1e}")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import lp_dense_reference
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from coopgrid.errors import LpValidationError
 from coopgrid.game import coalition_members
 from coopgrid.lp import PIVOT_TOL, LpStatus, make_program, solve_lp, validate_lp
 from coopgrid.oracles import brute_force_lp, random_box_lp
-from coopgrid.scenario import slice_horizon
+from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
+from coopgrid.sim import SimConfig, SimMode, run
 
 
 def test_bound_active_minimum():
@@ -105,6 +108,35 @@ def test_validate_crossed_bounds():
     assert "crossed bounds" in issues[0]
 
 
+def _malformed_variants():
+    base = make_program([1.0, 2.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0],
+                        ub_matrix=[[1.0, -1.0]], ub_rhs=[0.5],
+                        lower=[0.0, -1.0], upper=[3.0, np.inf])
+    yield base
+    for field in ("objective", "eq_matrix", "eq_rhs", "ub_matrix", "ub_rhs",
+                  "lower", "upper"):
+        for bad in (np.nan, np.inf, -np.inf):
+            arr = getattr(base, field).copy()
+            arr.flat[0] = bad
+            yield dataclasses.replace(base, **{field: arr})
+    for field, value in (("objective", np.zeros(0)), ("objective", np.ones((1, 2))),
+                         ("eq_rhs", np.ones(2)), ("ub_matrix", np.ones((1, 3))),
+                         ("ub_matrix", np.ones(2)), ("lower", np.zeros(1)),
+                         ("upper", np.ones(3)), ("lower", np.array([4.0, 0.0]))):
+        yield dataclasses.replace(base, **{field: value})
+
+
+def test_validate_reports_every_malformed_field():
+    programs = list(_malformed_variants())
+    flagged = [bool(validate_lp(prog)) for prog in programs]
+    # all but the base program and the one whose first upper bound is +inf
+    assert flagged.count(False) == 2 and not flagged[0]
+    for prog, bad in zip(programs, flagged):
+        if bad:
+            with pytest.raises(LpValidationError):
+                solve_lp(prog)
+
+
 def test_solve_rejects_malformed():
     prog = make_program([1.0, 2.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
     prog.eq_rhs = np.array([1.0, 2.0])
@@ -120,8 +152,10 @@ def _assert_same_solution(got, want):
     if want.point is None:
         assert got.point is None and got.objective_value is None
     else:
-        assert np.array_equal(got.point, want.point)
-        assert got.objective_value == want.objective_value
+        # bytes, not values: -0.0 == 0.0, but reports print them differently
+        assert got.point.tobytes() == want.point.tobytes()
+        assert np.float64(got.objective_value).tobytes() == \
+            np.float64(want.objective_value).tobytes()
 
 
 def _degenerate_lp(rng):
@@ -180,19 +214,48 @@ def test_matches_dense_reference_on_ratio_ties(monkeypatch):
     assert broken["later_row"] > 0, broken
 
 
+def _coalition_programs(hs, storage, caps):
+    """The dispatch program of every coalition of the slice's nodes."""
+    for mask in range(1, 1 << len(hs.node_ids)):
+        members = list(coalition_members(mask))
+        yield build_coalition_lp(hs.select(members), storage[members], caps[members])
+
+
 def test_matches_dense_reference_on_reference_step_zero(ref_scenario):
     hs = slice_horizon(ref_scenario, 0, 5)
-    storage = ref_scenario.storage_init
-    caps = ref_scenario.storage_capacities
     phase1 = 0
-    for mask in range(1, 1 << ref_scenario.n_nodes):
-        members = list(coalition_members(mask))
-        prog = build_coalition_lp(hs.select(members), storage[members], caps[members])
+    for prog in _coalition_programs(hs, ref_scenario.storage_init,
+                                    ref_scenario.storage_capacities):
         got = solve_lp(prog)
         _assert_same_solution(got, lp_dense_reference.solve_lp(prog))
         assert got.status is LpStatus.OPTIMAL
         phase1 += got.phase1_pivots
     assert phase1 > 0
+
+
+def test_matches_dense_reference_on_zero_capacity_programs(ref_scenario):
+    hs = slice_horizon(ref_scenario, 0, 5)
+    zero = np.zeros(ref_scenario.n_nodes)
+    negative_zero_bounds = 0
+    for prog in _coalition_programs(hs, zero, zero):
+        negative_zero_bounds += int(np.signbit(prog.lower).sum())
+        got = solve_lp(prog)
+        _assert_same_solution(got, lp_dense_reference.solve_lp(prog))
+        assert got.status is LpStatus.OPTIMAL
+    # the storage-delta lower bound -capacity is -0.0
+    assert negative_zero_bounds > 0
+
+
+def test_matches_dense_reference_on_generated_world_every_step():
+    world = generate_synthetic_scenario(17, n_nodes=5, n_steps=8)
+    config = SimConfig(mode=SimMode.COALITIONAL, loss_weight=1e-4)
+    trace = run(world, config)
+    storage = world.storage_init
+    for res in trace.steps:
+        hs = slice_horizon(world, res.step, config.horizon)
+        for prog in _coalition_programs(hs, storage, world.storage_capacities):
+            _assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
+        storage = res.storage_after
 
 
 # --- crash basis ---------------------------------------------------------------

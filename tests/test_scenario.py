@@ -89,6 +89,18 @@ def test_series_that_are_not_flat_lists_rejected(reshape):
         assert f"node 0: {name} must be a flat list" in str(err.value)
 
 
+def test_one_malformed_series_is_reported_alone():
+    # node 0's demand is nested 2 x 4; the eleven flat 4-step series are fine
+    doc = json.loads(serialize_scenario(generate_synthetic_scenario(3, n_nodes=3, n_steps=4)))
+    demand = doc["nodes"][0]["demand_kwh"]
+    doc["nodes"][0]["demand_kwh"] = [demand, demand]
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(json.dumps(doc))
+    issues = str(err.value).split("; ")
+    assert len(issues) == 1
+    assert issues[0].startswith("node 0: demand_kwh must be a flat list of 4 numbers")
+
+
 def test_unknown_field_rejected():
     doc = json.loads(MINIMAL_DOC)
     doc["nodes"][0]["color"] = "red"
