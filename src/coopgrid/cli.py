@@ -139,7 +139,15 @@ def _parse_modes(text: str) -> list[SimMode]:
             raise UsageError(f"unknown mode {token!r}; expected one of "
                              f"{sorted(_MODE_NAMES)}")
         modes.append(_MODE_NAMES[token])
+    _refuse_repeats("--mode", [m.value for m in modes])
     return modes
+
+
+def _refuse_repeats(flag: str, values: list) -> None:
+    """Each configuration is one report label; a repeat would duplicate its rows."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"{flag} lists {value!r} more than once")
 
 
 def main(argv=None) -> int:
@@ -159,6 +167,7 @@ def main(argv=None) -> int:
                 raise UsageError(f"bad --sweep-rho value ({exc})") from exc
             if not rhos:
                 raise UsageError("--sweep-rho needs at least one value")
+            _refuse_repeats("--sweep-rho", rhos)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

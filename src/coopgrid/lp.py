@@ -23,6 +23,16 @@ rewrite would store +0.0.  The sign of a zero never changes which entries
 are nonzero, the value of a nonzero entry, or the rhs column, so the
 pivots, points and objectives stay the same.
 
+The ratio test runs on Python floats over the entering column's few
+nonzero rows instead of on numpy arrays.  Python's float ``/``, ``<``,
+``<=``, ``abs`` and ``min`` are the same IEEE 754 double operations as
+numpy's, and no ratio is NaN (every divisor passed ``> PIVOT_TOL``), so
+the ratios, the tie cut ``rmin + 1e-12 * max(1.0, |rmin|)`` and the
+chosen row are those of the array version.  Where ``rmin`` is a zero, its
+sign may differ between ``min`` and ``np.minimum``, but the cut is the
+same for either sign.  Among the tied rows ``min`` takes the smallest
+basic index, and basic indices are distinct.
+
 The phase-1 objective row and the phase-2 reduced costs are each one
 ``np.subtract.reduce`` over stacked rows.  A reduction along the first
 axis subtracts the rows one at a time, left to right, so it rounds
@@ -199,20 +209,21 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int) -> tuple[
             return "optimal", pivots
         column = columns[enter]
         nz = column.nonzero()[0]
-        # the objective row is in nz, but its entry is negative, so it never
-        # passes the ratio test
         entries = column[nz]
-        positive = entries > PIVOT_TOL
-        rows = nz[positive]
-        if rows.size == 1:  # no ratio test (one pivot in seven in dispatch programs)
-            leave = int(rows[0])
-        elif rows.size == 0:
+        # ratio test on Python floats over the few nonzero rows; the
+        # objective row is among them, but its entry is negative, so it
+        # never passes
+        ratios = [(b / e, r) for r, e, b in zip(nz.tolist(), entries.tolist(),
+                                                rhs[nz].tolist()) if e > PIVOT_TOL]
+        if not ratios:
             return "unbounded", pivots
+        if len(ratios) == 1:  # one pivot in seven in dispatch programs
+            leave = ratios[0][1]
         else:
-            ratios = rhs[rows] / entries[positive]
-            rmin = np.minimum.reduce(ratios)
-            tie = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
-            leave = int(tie[basis[tie].argmin()])  # Bland tie-break: smallest basic index
+            rmin = min(ratio for ratio, _ in ratios)
+            cut = rmin + 1e-12 * max(1.0, abs(rmin))
+            # Bland tie-break: smallest basic index
+            leave = min((r for ratio, r in ratios if ratio <= cut), key=basis.__getitem__)
         _eliminate(t, basis, leave, enter, nz, entries)
     raise ArithmeticError("simplex iteration limit exceeded")
 

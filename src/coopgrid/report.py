@@ -77,12 +77,20 @@ def summarize_prices(trace: SimulationTrace) -> dict[int, float | None]:
 
 def write_reports(traces: list[SimulationTrace], out_dir,
                   scenario_source: str = "") -> RunManifest:
-    """Emit partitions.csv, costs.csv, prices.csv, flows.csv and manifest.json."""
+    """Emit partitions.csv, costs.csv, prices.csv, flows.csv and manifest.json.
+
+    Rows are keyed by trace label, so traces with the same label are refused
+    before anything is written.
+    """
     if not traces:
         raise ValueError("need at least one trace to report on")
+    labels = [trace_label(t) for t in traces]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"traces repeat the labels {repeated}: every (agent, label) "
+                         f"report row would be written more than once")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    labels = [trace_label(t) for t in traces]
 
     lines = ["step,agent,block_id,label"]
     for label, trace in zip(labels, traces):

@@ -11,6 +11,7 @@ Grid-only and grid-with-storage modes run the same loop on singleton
 blocks; grid-only runs on a copy of the scenario without storage.
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -43,8 +44,9 @@ class SimConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.loss_weight < 0:
-            raise ValueError("loss_weight must be nonnegative")
+        if not 0.0 <= self.loss_weight < math.inf:
+            raise ValueError(f"loss_weight must be finite and nonnegative, "
+                             f"got {self.loss_weight}")
         if self.reform_period < 1:
             raise ValueError("reform_period must be at least 1")
 

@@ -85,6 +85,13 @@ def test_write_reports_rejects_empty(tmp_path):
     assert not (tmp_path / "costs.csv").exists()
 
 
+def test_write_reports_rejects_repeated_labels(tmp_path, small_traces):
+    _, traces = small_traces
+    with pytest.raises(ValueError, match="repeat the labels"):
+        write_reports(traces + traces[:1], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_generate_run(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["--generate", "--seed", "1", "--nodes", "3", "--steps", "4",
@@ -144,6 +151,35 @@ def test_cli_usage_errors(capsys):
     assert main(["--generate", "--scenario", "x", "--out", "y"]) == 1
     assert main(["--generate", "--mode", "sideways", "--out", "y"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "grid-only,grid-only"],
+    ["--mode", "coalitional,grid-storage,coalitional"],
+    ["--sweep-rho", "1e-5,5e-3,1e-5"],
+    ["--sweep-rho", "1e-5,0.00001"],
+])
+def test_cli_repeated_configuration_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["--generate", "--nodes", "3", "--steps", "3", "--out", str(out)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "more than once" in err
+    assert not out.exists()  # refused before any run starts
+
+
+@pytest.mark.parametrize("args", [
+    ["--rho", "nan"],
+    ["--rho", "inf"],
+    ["--rho=-1e-5"],
+    ["--sweep-rho", "1e-5,inf"],
+    ["--sweep-rho", "nan"],
+])
+def test_cli_bad_loss_weight_is_input_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["--generate", "--nodes", "3", "--steps", "3", "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "finite and nonnegative" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

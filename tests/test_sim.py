@@ -214,7 +214,8 @@ def test_price_records_reconstruct_charges():
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         SimConfig(horizon=0)
-    with pytest.raises(ValueError):
-        SimConfig(loss_weight=-1.0)
+    for weight in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SimConfig(loss_weight=weight)
     with pytest.raises(ValueError):
         SimConfig(reform_period=0)
