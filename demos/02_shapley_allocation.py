@@ -8,12 +8,14 @@ that drive every agent's coalition preference.
 import numpy as np
 
 from coopgrid import (characteristic_function, coalition_members,
-                      equivalent_price, generate_synthetic_scenario, payoff_map)
+                      equivalent_price, generate_synthetic_scenario, payoff_map,
+                      slice_horizon)
 
 scenario = generate_synthetic_scenario(seed=7, n_nodes=4, n_steps=8)
 storage = np.zeros(4)
 
-cf = characteristic_function(storage, scenario, k=0, horizon=5, loss_weight=1e-4)
+cf = characteristic_function(storage, scenario, slice_horizon(scenario, 0, 5),
+                             loss_weight=1e-4)
 print(f"characteristic function over {len(cf.entries)} coalitions (4 agents)\n")
 
 print("coalition               market    losses     value")

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 runtime failure.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     runcfg.add_argument("--mode", default="coalitional",
                         help="grid-only | grid-storage | coalitional "
                              "(comma-separated list runs several baselines)")
-    runcfg.add_argument("--rho", type=float, default=1e-5,
-                        help="transfer-loss weight for coalitional mode (default 1e-5)")
-    runcfg.add_argument("--sweep-rho", metavar="LIST",
-                        help="comma-separated loss weights; runs one coalitional "
-                             "trace per value (e.g. 5e-3,5e-4,1e-4,1e-5)")
+    runcfg.add_argument("--rho", metavar="LIST", default="1e-5",
+                        help="comma-separated transfer-loss weights; coalitional "
+                             "mode runs once per weight (default 1e-5)")
     runcfg.add_argument("--horizon", type=int, default=5,
                         help="prediction horizon in steps (default 5)")
     runcfg.add_argument("--reform-period", type=int, default=1,
@@ -159,15 +158,13 @@ def main(argv=None) -> int:
             if not args.out:
                 raise UsageError("--out DIR is required when running a simulation")
         modes = _parse_modes(args.mode)
-        rhos = None
-        if args.sweep_rho:
-            try:
-                rhos = [float(tok) for tok in args.sweep_rho.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise UsageError(f"bad --sweep-rho value ({exc})") from exc
-            if not rhos:
-                raise UsageError("--sweep-rho needs at least one value")
-            _refuse_repeats("--sweep-rho", rhos)
+        try:
+            rhos = [float(tok) for tok in args.rho.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise UsageError(f"bad --rho value ({exc})") from exc
+        if not rhos:
+            raise UsageError("--rho needs at least one value")
+        _refuse_repeats("--rho", rhos)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -194,17 +191,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     try:
-        if rhos is not None:
-            configs = [SimConfig(mode=SimMode.COALITIONAL, horizon=args.horizon,
-                                 loss_weight=rho, reform_period=args.reform_period)
-                       for rho in rhos]
-        else:
-            configs = [SimConfig(mode=mode, horizon=args.horizon,
-                                 loss_weight=args.rho,
-                                 reform_period=args.reform_period)
-                       for mode in modes]
-        if (scenario.n_nodes > MAX_SWEEP_AGENTS
-                and any(cfg.mode is SimMode.COALITIONAL for cfg in configs)):
+        # grid modes price singletons, which carry no loss cost: one run each
+        weighted = [SimConfig(mode=SimMode.COALITIONAL, horizon=args.horizon,
+                              loss_weight=rho, reform_period=args.reform_period)
+                    for rho in rhos]
+        configs = [cfg for mode in modes
+                   for cfg in (weighted if mode is SimMode.COALITIONAL
+                               else [replace(weighted[0], mode=mode)])]
+        if scenario.n_nodes > MAX_SWEEP_AGENTS and SimMode.COALITIONAL in modes:
             raise ValueError(f"coalitional mode supports at most {MAX_SWEEP_AGENTS} "
                              f"nodes, the scenario has {scenario.n_nodes}")
     except ValueError as exc:

@@ -4,6 +4,9 @@ Coalitions are encoded as bit masks over agent ids (bit ``i`` set means
 agent ``i`` is a member).  All values are costs: lower is better, and a
 negative share is money earned.
 
+The sweep and ``sim.step``'s repricing of retained blocks share one loop
+over the subsets of blocks, on the step's horizon slice.
+
 Every Shapley share is a difference of Hart–Mas-Colell potentials
 (Econometrica 57(3), 1989): P(0) = 0, P(S) = (v(S) + sum over i in S of
 P(S - i)) / |S|, and agent i's share in S is P(S) - P(S - i).
@@ -14,7 +17,7 @@ import numpy as np
 
 from .dispatch import CoalitionValueBreakdown, DispatchSolution, coalition_value
 from .errors import DispatchError, MissingCoalitionError
-from .scenario import Scenario, slice_horizon
+from .scenario import HorizonSlice, Scenario
 
 # below this net energy (kWh) a per-kWh price is meaningless and left undefined
 PRICE_ENERGY_FLOOR = 1e-6
@@ -107,23 +110,33 @@ class PriceRecord:
     price: float | None
 
 
-def characteristic_function(storage_levels, scenario: Scenario, k: int,
-                            horizon: int, loss_weight: float) -> CharacteristicFunction:
-    """Price every nonempty coalition at step ``k`` over one horizon slice."""
+def _price_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSlice,
+                   loss_weight: float) -> dict[int, CoalitionEntry]:
+    """Price every nonempty subset of each block.  Private, as the tracer in
+    ``perfbench/`` counts pricings by the public function that calls them."""
+    entries: dict[int, CoalitionEntry] = {}
+    for block in blocks:
+        full = coalition_mask(block)
+        sub = 0
+        while sub != full:
+            sub = (sub - full) & full  # next submask of full, in increasing order
+            members = coalition_members(sub)
+            try:
+                entries[sub] = CoalitionEntry(*coalition_value(
+                    members, storage_levels, scenario, slice_, loss_weight))
+            except DispatchError as exc:
+                raise DispatchError(f"coalition {members}: {exc}") from exc
+    return entries
+
+
+def characteristic_function(storage_levels, scenario: Scenario, slice_: HorizonSlice,
+                            loss_weight: float) -> CharacteristicFunction:
+    """Price every nonempty coalition over one step's horizon slice."""
     n = scenario.n_nodes
     if n > MAX_SWEEP_AGENTS:
         raise ValueError(f"exhaustive coalition sweep not supported for {n} agents")
-    hs = slice_horizon(scenario, k, horizon)
-    entries: dict[int, CoalitionEntry] = {}
-    for mask in range(1, 1 << n):
-        members = coalition_members(mask)
-        try:
-            breakdown, sol = coalition_value(members, storage_levels, scenario, hs,
-                                             loss_weight)
-        except DispatchError as exc:
-            raise DispatchError(f"coalition {members}: {exc}") from exc
-        entries[mask] = CoalitionEntry(breakdown, sol)
-    return CharacteristicFunction(n_agents=n, entries=entries)
+    return CharacteristicFunction(n_agents=n, entries=_price_subsets(
+        [range(n)], storage_levels, scenario, slice_, loss_weight))
 
 
 def value_getter(values):

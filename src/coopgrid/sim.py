@@ -1,12 +1,12 @@
 """Rolling-horizon closed loop: price coalitions, form a partition,
 dispatch, apply the first-step inputs, settle charges, advance storage.
 
-Per step in coalitional mode: every nonempty coalition is priced over the
-prediction horizon, Shapley shares build the payoff map, the partition is
-formed (or retained between re-formation steps, pricing only the subsets
-of its blocks), each block's priced plan is applied for one step, and
-realized money is settled inside each block with a one-step Shapley
-allocation built from the first-step costs of the same priced plans.
+Per step the horizon is sliced once.  In coalitional mode every nonempty
+coalition is priced over it, Shapley shares build the payoff map, the
+partition is formed (or retained between re-formation steps, pricing only
+the subsets of its blocks), each block's priced plan is applied for one
+step, and realized money is settled inside each block with a one-step
+Shapley allocation built from the first-step costs of the same priced plans.
 Grid-only and grid-with-storage modes run the same loop on singleton
 blocks; grid-only runs on a copy of the scenario without storage.
 """
@@ -17,11 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from .dispatch import CoalitionValueBreakdown, coalition_value
+from .dispatch import CoalitionValueBreakdown
 from .errors import DispatchError, ScenarioError
 from .formation import Partition, form_partition
-from .game import (CoalitionEntry, PayoffMap, PriceRecord, characteristic_function,
-                   coalition_mask, coalition_members, equivalent_price, payoff_map,
+from .game import (CoalitionEntry, PayoffMap, PriceRecord, _price_subsets,
+                   characteristic_function, coalition_mask, equivalent_price, payoff_map,
                    shapley_value)
 from .scenario import HorizonSlice, Scenario, slice_horizon, validate_scenario
 
@@ -137,28 +137,19 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
 
     coalitional = config.mode is SimMode.COALITIONAL
     pm: PayoffMap | None = None
-    if coalitional and (prev_partition is None or k % config.reform_period == 0):
-        cf = characteristic_function(state.storage, scenario, k, config.horizon,
+    try:
+        if coalitional and (prev_partition is None or k % config.reform_period == 0):
+            cf = characteristic_function(state.storage, scenario, hs, config.loss_weight)
+            pm = payoff_map(cf)
+            partition = form_partition(pm)
+            records = cf.entries
+        else:
+            partition = (prev_partition if coalitional
+                         else Partition.from_blocks([(i,) for i in range(n)]))
+            records = _price_subsets(partition.blocks, state.storage, scenario, hs,
                                      config.loss_weight)
-        pm = payoff_map(cf)
-        partition = form_partition(pm)
-        records = cf.entries
-    else:
-        partition = (prev_partition if coalitional
-                     else Partition.from_blocks([(i,) for i in range(n)]))
-        records = {}
-        for block in partition.blocks:
-            block_mask = coalition_mask(block)
-            sub = block_mask
-            while sub:
-                members = coalition_members(sub)
-                try:
-                    breakdown, sol = coalition_value(
-                        members, state.storage, scenario, hs, config.loss_weight)
-                except DispatchError as exc:
-                    raise DispatchError(f"step {k}, coalition {members}: {exc}") from exc
-                records[sub] = CoalitionEntry(breakdown, sol)
-                sub = (sub - 1) & block_mask
+    except DispatchError as exc:
+        raise DispatchError(f"step {k}, {exc}") from exc
 
     grid_buy = np.zeros(n)
     grid_sell = np.zeros(n)

@@ -9,7 +9,7 @@ from coopgrid.game import (CharacteristicFunction, CoalitionEntry,
                            coalition_members, equivalent_price, payoff_map,
                            shapley_value)
 from coopgrid.oracles import permutation_shapley, random_cost_game
-from coopgrid.scenario import generate_synthetic_scenario
+from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
 
 
 def test_mask_round_trip():
@@ -20,21 +20,21 @@ def test_mask_round_trip():
 
 def test_single_agent_sweep():
     sc = generate_synthetic_scenario(2, n_nodes=1, n_steps=6)
-    cf = characteristic_function(np.zeros(1), sc, 0, 5, 1e-4)
+    cf = characteristic_function(np.zeros(1), sc, slice_horizon(sc, 0, 5), 1e-4)
     assert set(cf.entries) == {1}
     assert cf.complete
 
 
 def test_three_agent_sweep_has_seven_entries():
     sc = generate_synthetic_scenario(2, n_nodes=3, n_steps=6)
-    cf = characteristic_function(np.zeros(3), sc, 0, 5, 1e-4)
+    cf = characteristic_function(np.zeros(3), sc, slice_horizon(sc, 0, 5), 1e-4)
     assert len(cf.entries) == 7
     assert cf.complete
 
 
 def test_pair_sweep_shows_merger_gain():
     sc = surplus_deficit_pair()
-    cf = characteristic_function(np.zeros(2), sc, 0, 1, 1e-4)
+    cf = characteristic_function(np.zeros(2), sc, slice_horizon(sc, 0, 1), 1e-4)
     assert cf.value((0, 1)) < cf.value((0,)) + cf.value((1,))
 
 
@@ -123,7 +123,7 @@ def test_missing_subset_is_named():
 
 def test_payoff_map_efficiency_and_standalone():
     sc = generate_synthetic_scenario(7, n_nodes=4, n_steps=6)
-    cf = characteristic_function(np.zeros(4), sc, 0, 5, 1e-4)
+    cf = characteristic_function(np.zeros(4), sc, slice_horizon(sc, 0, 5), 1e-4)
     pm = payoff_map(cf)
     for mask, entry in cf.entries.items():
         members = coalition_members(mask)
@@ -153,7 +153,7 @@ def test_payoff_map_matches_permutation_oracle():
 
 def test_payoff_map_single_agent():
     sc = generate_synthetic_scenario(2, n_nodes=1, n_steps=6)
-    cf = characteristic_function(np.zeros(1), sc, 0, 5, 1e-4)
+    cf = characteristic_function(np.zeros(1), sc, slice_horizon(sc, 0, 5), 1e-4)
     pm = payoff_map(cf)
     assert pm.share(0, (0,)) == cf.value((0,))
 

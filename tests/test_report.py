@@ -147,6 +147,7 @@ def test_cli_nested_series_is_input_error(tmp_path, capsys):
 
 def test_cli_usage_errors(capsys):
     assert main(["--nope"]) == 1
+    assert main(["--generate", "--sweep-rho", "1e-5", "--out", "y"]) == 1
     assert main(["--generate"]) == 1  # no --out
     assert main(["--generate", "--scenario", "x", "--out", "y"]) == 1
     assert main(["--generate", "--mode", "sideways", "--out", "y"]) == 1
@@ -156,8 +157,8 @@ def test_cli_usage_errors(capsys):
 @pytest.mark.parametrize("args", [
     ["--mode", "grid-only,grid-only"],
     ["--mode", "coalitional,grid-storage,coalitional"],
-    ["--sweep-rho", "1e-5,5e-3,1e-5"],
-    ["--sweep-rho", "1e-5,0.00001"],
+    ["--rho", "1e-5,5e-3,1e-5"],
+    ["--rho", "1e-5,0.00001"],
 ])
 def test_cli_repeated_configuration_is_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -171,8 +172,8 @@ def test_cli_repeated_configuration_is_usage_error(tmp_path, capsys, args):
     ["--rho", "nan"],
     ["--rho", "inf"],
     ["--rho=-1e-5"],
-    ["--sweep-rho", "1e-5,inf"],
-    ["--sweep-rho", "nan"],
+    ["--rho", "1e-5,inf"],
+    ["--mode", "grid-only", "--rho", "1e-5,nan"],
 ])
 def test_cli_bad_loss_weight_is_input_error(tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -200,12 +201,21 @@ def test_cli_bad_generated_world_is_input_error(tmp_path, capsys, args):
 def test_cli_sweep_rho(tmp_path):
     out = tmp_path / "sweep"
     code = main(["--generate", "--seed", "3", "--nodes", "3", "--steps", "3",
-                 "--horizon", "2", "--sweep-rho", "5e-3,1e-5",
+                 "--horizon", "2", "--rho", "5e-3,1e-5",
                  "--out", str(out)])
     assert code == 0
     lines = (out / "costs.csv").read_text().splitlines()
     labels = {line.split(",")[1] for line in lines[1:]}
     assert labels == {"coalitional(rho=0.005)", "coalitional(rho=1e-05)"}
+
+
+def test_cli_rho_list_runs_beside_grid_modes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--generate", "--nodes", "3", "--steps", "3",
+                 "--mode", "grid-only,coalitional", "--rho", "1e-5,5e-3",
+                 "--out", str(out)]) == 0
+    configs = json.loads((out / "manifest.json").read_text())["configs"]
+    assert configs == ["grid-only", "coalitional(rho=1e-05)", "coalitional(rho=0.005)"]
 
 
 def test_cli_oracle_check(capsys):

@@ -1,4 +1,5 @@
 import inspect
+import sys
 from collections import Counter
 
 import numpy as np
@@ -7,8 +8,9 @@ from helpers import make_node, make_scenario, surplus_deficit_pair, traces_equal
 
 from coopgrid import dispatch, sim
 from coopgrid.dispatch import mean_pairwise_distance
-from coopgrid.scenario import generate_synthetic_scenario
-from coopgrid.sim import SimConfig, SimMode, run, settle_step
+from coopgrid.errors import DispatchError
+from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
+from coopgrid.sim import SimConfig, SimMode, SystemState, run, settle_step
 from coopgrid.formation import Partition
 
 
@@ -74,6 +76,39 @@ def test_each_coalition_is_solved_once_per_step(monkeypatch):
     assert all(any(len(b) == 1 for b in res.partition.blocks) for res in trace.steps)
     repeated = sorted(key for key, count in solves.items() if count > 1)
     assert solves and not repeated
+
+
+def test_horizon_is_sliced_once_per_step(monkeypatch):
+    # reform period 2 mixes re-forming and retained steps; the function is
+    # replaced under every name a coopgrid module binds it to
+    scenario = generate_synthetic_scenario(23, n_nodes=3, n_steps=5)
+    slices = Counter()
+
+    def counting_slice(sc, k, horizon):
+        slices[k] += 1
+        return slice_horizon(sc, k, horizon)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "coopgrid"
+                and getattr(module, "slice_horizon", None) is slice_horizon):
+            monkeypatch.setattr(module, "slice_horizon", counting_slice)
+    run(scenario, SimConfig(mode=SimMode.COALITIONAL, loss_weight=1e-4, horizon=3,
+                            reform_period=2))
+    assert slices == Counter(range(5))
+
+
+def test_dispatch_failure_names_step_and_coalition():
+    # node 1 sells above node 0's buy price at step 1; calling step directly
+    # skips the validation that would refuse the world
+    nodes = [make_node(0, [1.0, 1.0], [0.0, 0.0], [0.08, 0.08], [0.05, 0.05]),
+             make_node(1, [1.0, 1.0], [0.0, 0.0], [0.12, 0.12], [0.05, 0.09])]
+    scenario = make_scenario(nodes)
+    state = SystemState(step=1, storage=np.zeros(2))
+    config = SimConfig(horizon=1, reform_period=2)
+    for prev in (None, Partition.from_blocks([(0, 1)])):  # re-forming, then retained
+        with pytest.raises(DispatchError,
+                           match=r"^step 1, coalition \(0, 1\): dispatch unbounded"):
+            sim.step(state, scenario, config, prev)
 
 
 def test_self_sufficient_agents_stay_single_with_zero_charges():
