@@ -1,7 +1,7 @@
 """Coalition pricing and Shapley cost sharing on a small scenario.
 
 Prices every coalition of a 4-node synthetic world, splits each
-coalition's cost with the Shapley rule, and shows the payoff map entries
+coalition's cost with the Shapley rule, and shows the payoff map shares
 that drive every agent's coalition preference.
 """
 
@@ -25,17 +25,17 @@ for mask in sorted(cf.entries, key=lambda m: (bin(m).count('1'), m)):
     print(f"  {str(members):20s} {b.market_cost:9.4f} {b.loss_cost:9.6f} {b.total:9.4f}")
 
 pm = payoff_map(cf)
-grand = (1 << 4) - 1
-shares = pm.entries[grand]
+grand = range(4)
+shares = [pm.share(agent, grand) for agent in grand]
 print("\nShapley split of the grand coalition:")
-for agent in range(4):
+for agent in grand:
     standalone = pm.standalone(agent)
     print(f"  agent {agent}: share {shares[agent]:8.4f} CU vs alone "
           f"{standalone:8.4f} CU  ({'joins' if shares[agent] <= standalone else 'refuses'})")
-print(f"  shares sum to {shares.sum():.6f} = grand value {cf.value(grand):.6f}")
+print(f"  shares sum to {sum(shares):.6f} = grand value {cf[0b1111]:.6f}")
 
 # the implied internal price: share divided by the net energy drawn
 print("\nimplied prices if each agent drew 2 kWh net:")
-for agent in range(4):
-    price = equivalent_price(float(shares[agent]), 2.0)
+for agent in grand:
+    price = equivalent_price(shares[agent], 2.0)
     print(f"  agent {agent}: {price:.4f} CU/kWh")

@@ -6,13 +6,16 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 runtime failure.
 """
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .dispatch import coalition_value
 from .errors import CoopGridError, ScenarioError
+from .formation import optimal_structure
 from .game import MAX_SWEEP_AGENTS, shapley_value
 from .lp import LpStatus, solve_lp
 from .oracles import (best_partition_by_enumeration, brute_force_lp,
@@ -47,6 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and write CSV reports.",
         add_help=True,
     )
+    # argparse < 3.13 takes "-1e-5" for an option; no option here starts with "-" and a digit
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     src = parser.add_argument_group("scenario source")
     src.add_argument("--scenario", metavar="PATH", help="scenario document to load")
     src.add_argument("--generate", action="store_true",
@@ -102,15 +107,10 @@ def _oracle_check() -> int:
             return EXIT_RUNTIME
     print("oracle-check: shapley shares match the all-orderings average on 30 games")
 
-    from .formation import optimal_structure
-    from .game import CharacteristicFunction, CoalitionEntry
-    from .dispatch import CoalitionValueBreakdown, coalition_value
     for trial in range(20):
         n = int(rng.integers(2, 6))
         game = random_cost_game(rng, n)
-        entries = {mask: CoalitionEntry(
-            CoalitionValueBreakdown(v, 0.0, v, 0.0), None) for mask, v in game.items()}
-        best = optimal_structure(CharacteristicFunction(n, entries))
+        best = optimal_structure(game)
         blocks, value = best_partition_by_enumeration(game, n)
         if best.partition.blocks != blocks or abs(best.value - value) > 1e-12:
             print(f"oracle-check FAIL: structure trial {trial}")

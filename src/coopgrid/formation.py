@@ -16,9 +16,7 @@ against.
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import MissingCoalitionError
-from .game import (CharacteristicFunction, PayoffMap, coalition_mask, coalition_members,
-                   value_getter)
+from .game import PayoffMap, _cost, coalition_mask, coalition_members
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,8 @@ def form_partition(pm: PayoffMap) -> Partition:
     admissible, so the procedure terminates in at most ``n_agents`` rounds.
     """
     n = pm.n_agents
-    standalone = {i: pm.standalone(i) for i in range(n)}
+    pot = pm.potentials
+    standalone = [pm.standalone(i) for i in range(n)]
     remaining = (1 << n) - 1
     blocks: list[tuple[int, ...]] = []
     while remaining:
@@ -77,15 +76,10 @@ def form_partition(pm: PayoffMap) -> Partition:
         sub = remaining
         while sub:
             members = coalition_members(sub)
-            try:
-                shares = pm.entries[sub]
-            except KeyError:
-                raise MissingCoalitionError(
-                    f"payoff map lacks coalition {members}") from None
             improvement = 0.0
             rational = True
-            for pos, agent in enumerate(members):
-                delta = float(shares[pos]) - standalone[agent]
+            for agent in members:
+                delta = pot[sub] - pot[sub ^ 1 << agent] - standalone[agent]
                 if delta > 0.0:
                     rational = False
                     break
@@ -129,21 +123,24 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 def structure_value(partition: Partition, values) -> StructureValue:
-    """Aggregate cost of a partition: the sum of its block values."""
-    get = value_getter(values)
+    """Aggregate cost of a partition: the sum of its block values in the
+    mask -> cost mapping ``values``."""
     total = 0.0
     for block in partition.blocks:
-        total += get(coalition_mask(block))
+        total += _cost(values, coalition_mask(block))
     return StructureValue(partition=partition, value=total)
 
 
-def optimal_structure(cf: CharacteristicFunction) -> StructureValue:
-    """Exhaustive minimum-cost coalition structure (first enumerated wins ties)."""
-    if cf.n_agents > 10:
+def optimal_structure(values) -> StructureValue:
+    """Exhaustive minimum-cost coalition structure of a mask -> cost mapping
+    over agents 0..n-1, n read off its largest mask (first enumerated wins
+    ties)."""
+    n = max(values).bit_length()
+    if n > 10:
         raise ValueError("exhaustive structure search capped at 10 agents")
     best = None
-    for partition in enumerate_partitions(cf.n_agents):
-        candidate = structure_value(partition, cf)
+    for partition in enumerate_partitions(n):
+        candidate = structure_value(partition, values)
         if best is None or candidate.value < best.value:
             best = candidate
     return best

@@ -7,11 +7,17 @@ negative share is money earned.
 The sweep and ``sim.step``'s repricing of retained blocks share one loop
 over the subsets of blocks, on the step's horizon slice.
 
+Every coalition-cost table is a mask -> cost mapping, a plain dict or a
+:class:`CharacteristicFunction`; a whole game's agent count is read off
+its largest mask.
+
 Every Shapley share is a difference of Hart–Mas-Colell potentials
 (Econometrica 57(3), 1989): P(0) = 0, P(S) = (v(S) + sum over i in S of
-P(S - i)) / |S|, and agent i's share in S is P(S) - P(S - i).
+P(S - i)) / |S|, and agent i's share in S is P(S) - P(S - i).  A
+:class:`PayoffMap` is that potential table.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 import numpy as np
 
@@ -56,47 +62,37 @@ class CoalitionEntry:
 
 
 @dataclass
-class CharacteristicFunction:
-    """Coalition -> cost map with the pricing breakdown and planned dispatch
-    cached per coalition."""
+class CharacteristicFunction(Mapping):
+    """Coalition mask -> cost, read-only; ``entries`` keeps each coalition's
+    pricing breakdown and planned dispatch."""
 
-    n_agents: int
     entries: dict[int, CoalitionEntry]
 
-    def value(self, coalition) -> float:
-        mask = coalition if isinstance(coalition, int) else coalition_mask(coalition)
-        try:
-            return self.entries[mask].value
-        except KeyError:
-            raise MissingCoalitionError(
-                f"no value for coalition {coalition_members(mask)}") from None
+    def __getitem__(self, mask: int) -> float:
+        return self.entries[mask].value
 
-    @property
-    def complete(self) -> bool:
-        return len(self.entries) == (1 << self.n_agents) - 1
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 @dataclass
 class PayoffMap:
-    """Shapley share of every agent inside every coalition it could join."""
+    """Shapley share of every agent in every coalition, as the potential table."""
 
     n_agents: int
-    entries: dict[int, np.ndarray]  # mask -> shares aligned with sorted members
+    potentials: dict[int, float]
 
-    def share(self, agent: int, coalition) -> float:
-        mask = coalition if isinstance(coalition, int) else coalition_mask(coalition)
-        members = coalition_members(mask)
-        if agent not in members:
-            raise KeyError(f"agent {agent} not in coalition {members}")
-        try:
-            shares = self.entries[mask]
-        except KeyError:
-            raise MissingCoalitionError(
-                f"no payoff entry for coalition {members}") from None
-        return float(shares[members.index(agent)])
+    def share(self, agent: int, members) -> float:
+        mask = coalition_mask(members)
+        if not mask >> agent & 1:
+            raise KeyError(f"agent {agent} not in coalition {coalition_members(mask)}")
+        return self.potentials[mask] - self.potentials[mask ^ 1 << agent]
 
     def standalone(self, agent: int) -> float:
-        return self.share(agent, 1 << agent)
+        return self.share(agent, (agent,))
 
 
 @dataclass(frozen=True)
@@ -135,32 +131,27 @@ def characteristic_function(storage_levels, scenario: Scenario, slice_: HorizonS
     n = scenario.n_nodes
     if n > MAX_SWEEP_AGENTS:
         raise ValueError(f"exhaustive coalition sweep not supported for {n} agents")
-    return CharacteristicFunction(n_agents=n, entries=_price_subsets(
+    return CharacteristicFunction(_price_subsets(
         [range(n)], storage_levels, scenario, slice_, loss_weight))
 
 
-def value_getter(values):
-    """Mask -> value lookup over a dict or a :class:`CharacteristicFunction`;
-    a missing coalition raises :class:`MissingCoalitionError`."""
-    if isinstance(values, CharacteristicFunction):
-        return values.value
-    def get(mask: int) -> float:
-        try:
-            return values[mask]
-        except KeyError:
-            raise MissingCoalitionError(
-                f"no value for coalition {coalition_members(mask)}") from None
-    return get
+def _cost(values, mask: int) -> float:
+    """``values[mask]``; a missing coalition raises :class:`MissingCoalitionError`."""
+    try:
+        return values[mask]
+    except KeyError:
+        raise MissingCoalitionError(
+            f"no value for coalition {coalition_members(mask)}") from None
 
 
-def _potentials(get, full: int) -> dict[int, float]:
+def _potentials(values, full: int) -> dict[int, float]:
     """Potential P(S) of every submask S of ``full``, filled in increasing
     order so that each P(S - i) is in place before P(S) needs it."""
     pot = {0: 0.0}
     sub = 0
     while sub != full:
         sub = (sub - full) & full  # next submask of full, in increasing order
-        total = get(sub)
+        total = _cost(values, sub)
         rest = sub
         while rest:
             bit = rest & -rest
@@ -184,17 +175,15 @@ def shapley_value(values, members) -> np.ndarray:
     full = coalition_mask(members)
     if not full:
         raise ValueError("coalition must be nonempty")
-    pot = _potentials(value_getter(values), full)
+    pot = _potentials(values, full)
     return np.array([pot[full] - pot[full ^ 1 << i] for i in coalition_members(full)])
 
 
-def payoff_map(cf: CharacteristicFunction) -> PayoffMap:
-    """Shapley shares inside every coalition, read from one potential table."""
-    full = (1 << cf.n_agents) - 1
-    pot = _potentials(cf.value, full)
-    entries = {mask: np.array([pot[mask] - pot[mask ^ 1 << i] for i in coalition_members(mask)])
-               for mask in range(1, full + 1)}
-    return PayoffMap(n_agents=cf.n_agents, entries=entries)
+def payoff_map(values) -> PayoffMap:
+    """Shapley shares inside every coalition: the potential table of a
+    mask -> cost mapping over agents 0..n-1, n read off its largest mask."""
+    n = max(values).bit_length()
+    return PayoffMap(n_agents=n, potentials=_potentials(values, (1 << n) - 1))
 
 
 def equivalent_price(charge: float, net_energy: float) -> float | None:

@@ -11,7 +11,8 @@ Document format (JSON text): top-level fields ``step_hours``,
 ``start_hour`` and ``nodes``; each node carries ``id``, ``position``
 (``{x_km, y_km}``), ``s_max_kwh``, ``s0_kwh`` and the four equal-length
 flat series ``demand_kwh``, ``generation_kwh``, ``buy_price``, ``sell_price``.
-Unknown fields are rejected.
+Every value is a JSON number (``id`` an integer); strings, booleans and
+nulls are rejected, and so are unknown fields.
 """
 
 import json
@@ -196,6 +197,18 @@ def crossed_tariffs(buy_price, sell_price, node_ids) -> list[tuple[int, str]]:
             for t in np.flatnonzero(sell_price.max(axis=0) >= buy_price.min(axis=0))]
 
 
+def _field(doc: dict, name: str, kinds=(int, float)):
+    """``doc[name]`` if it is a JSON number of ``kinds``, or lists of them
+    nested at most twice; strings, booleans and nulls are refused."""
+    value = doc[name]
+    for row in value if isinstance(value, list) else [value]:
+        for item in row if isinstance(row, list) else [row]:
+            if isinstance(item, bool) or not isinstance(item, kinds):
+                raise ScenarioError(f"{name}: {item!r} is not a JSON "
+                                    f"{'integer' if kinds is int else 'number'}")
+    return value
+
+
 def _node_from_doc(doc: dict, index: int) -> NodeProfile:
     if not isinstance(doc, dict):
         raise ScenarioError(f"nodes[{index}] must be an object")
@@ -211,14 +224,14 @@ def _node_from_doc(doc: dict, index: int) -> NodeProfile:
                             f"{sorted(_POSITION_FIELDS)}")
     try:
         return NodeProfile(
-            node_id=int(doc["id"]),
-            position=(float(pos["x_km"]), float(pos["y_km"])),
-            storage_capacity=float(doc["s_max_kwh"]),
-            storage_init=float(doc["s0_kwh"]),
-            demand=np.asarray(doc["demand_kwh"], dtype=float),
-            generation=np.asarray(doc["generation_kwh"], dtype=float),
-            buy_price=np.asarray(doc["buy_price"], dtype=float),
-            sell_price=np.asarray(doc["sell_price"], dtype=float),
+            node_id=int(_field(doc, "id", int)),
+            position=(float(_field(pos, "x_km")), float(_field(pos, "y_km"))),
+            storage_capacity=float(_field(doc, "s_max_kwh")),
+            storage_init=float(_field(doc, "s0_kwh")),
+            demand=np.asarray(_field(doc, "demand_kwh"), dtype=float),
+            generation=np.asarray(_field(doc, "generation_kwh"), dtype=float),
+            buy_price=np.asarray(_field(doc, "buy_price"), dtype=float),
+            sell_price=np.asarray(_field(doc, "sell_price"), dtype=float),
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"nodes[{index}]: bad field value ({exc})") from exc
@@ -242,8 +255,8 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(doc["nodes"], list) or not doc["nodes"]:
         raise ScenarioError("nodes must be a nonempty list")
     try:
-        step_hours = float(doc["step_hours"])
-        start_hour = float(doc["start_hour"])
+        step_hours = float(_field(doc, "step_hours"))
+        start_hour = float(_field(doc, "start_hour"))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad step_hours/start_hour value ({exc})") from exc
     nodes = [_node_from_doc(nd, i) for i, nd in enumerate(doc["nodes"])]
@@ -280,10 +293,8 @@ def _bump(hours: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * ((hours - center) / width) ** 2)
 
 
-def generate_synthetic_scenario(seed: int, n_nodes: int = 8, n_steps: int = 17,
-                                step_hours: float = 1.0,
-                                start_hour: float = 7.0) -> Scenario:
-    """Deterministically synthesize a scenario from a seed.
+def generate_synthetic_scenario(seed: int, n_nodes: int = 8, n_steps: int = 17) -> Scenario:
+    """Deterministically synthesize an hourly scenario from a seed, starting at 07:00.
 
     Demand follows a morning/evening double peak, generation a midday
     bell, and every node sees its own tariff level (so trading access to a
@@ -294,7 +305,7 @@ def generate_synthetic_scenario(seed: int, n_nodes: int = 8, n_steps: int = 17,
     if n_nodes < 1 or n_steps < 1:
         raise ValueError("n_nodes and n_steps must be at least 1")
     rng = np.random.default_rng(seed)
-    hours = (start_hour + np.arange(n_steps) * step_hours) % 24.0
+    hours = (7.0 + np.arange(n_steps)) % 24.0
     row_len = math.ceil(n_nodes / 2)
 
     nodes = []
@@ -331,7 +342,7 @@ def generate_synthetic_scenario(seed: int, n_nodes: int = 8, n_steps: int = 17,
             sell_price=sell,
         ))
 
-    scenario = Scenario(nodes=nodes, step_hours=step_hours, start_hour=start_hour)
+    scenario = Scenario(nodes=nodes)
     issues = validate_scenario(scenario)
     if issues:  # generator bug, not user error
         raise ScenarioError("generated scenario failed validation: " + "; ".join(issues))

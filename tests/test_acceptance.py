@@ -17,7 +17,7 @@ from helpers import traces_equal
 
 from coopgrid.dispatch import (coalition_value, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
-from coopgrid.formation import enumerate_partitions, structure_value
+from coopgrid.formation import enumerate_partitions, optimal_structure, structure_value
 from coopgrid.game import coalition_members, shapley_value
 from coopgrid.lp import LpStatus, solve_lp
 from coopgrid.oracles import (best_partition_by_enumeration, brute_force_lp,
@@ -190,12 +190,7 @@ def test_c06_structure_search_benchmark(coalition_traces):
     for _ in range(30):
         n = int(rng.integers(2, 6))
         game = random_cost_game(rng, n)
-        from coopgrid.formation import optimal_structure
-        from coopgrid.game import CharacteristicFunction, CoalitionEntry
-        from coopgrid.dispatch import CoalitionValueBreakdown
-        entries = {mask: CoalitionEntry(CoalitionValueBreakdown(v, 0, v, 0), None)
-                   for mask, v in game.items()}
-        got = optimal_structure(CharacteristicFunction(n, entries))
+        got = optimal_structure(game)
         blocks, value = best_partition_by_enumeration(game, n)
         assert got.partition.blocks == blocks
         assert got.value == pytest.approx(value, abs=1e-12)

@@ -4,22 +4,10 @@ import pytest
 from coopgrid.errors import MissingCoalitionError
 from coopgrid.formation import (Partition, enumerate_partitions, form_partition,
                                 optimal_structure, structure_value)
-from coopgrid.game import (CharacteristicFunction, CoalitionEntry, PayoffMap,
-                           coalition_members, payoff_map)
-from coopgrid.dispatch import CoalitionValueBreakdown
+from coopgrid.game import coalition_members, payoff_map
 from coopgrid.oracles import best_partition_by_enumeration, random_cost_game
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
-
-
-def _cf_from_values(n, values):
-    entries = {mask: CoalitionEntry(CoalitionValueBreakdown(v, 0.0, v, 0.0), None)
-               for mask, v in values.items()}
-    return CharacteristicFunction(n_agents=n, entries=entries)
-
-
-def _pm_from_values(n, values):
-    return payoff_map(_cf_from_values(n, values))
 
 
 def test_partition_canonical_form():
@@ -44,16 +32,12 @@ def test_singleton_lovers_stay_alone():
         members = coalition_members(mask)
         # any merger costs strictly more than going alone
         values[mask] = float(len(members) ** 2)
-    pm = _pm_from_values(n, values)
-    assert form_partition(pm).blocks == ((0,), (1,), (2,))
+    assert form_partition(payoff_map(values)).blocks == ((0,), (1,), (2,))
 
 
 def test_mutual_pair_forms():
-    pm = PayoffMap(n_agents=2, entries={
-        0b01: np.array([4.0]),
-        0b10: np.array([6.0]),
-        0b11: np.array([3.0, 5.0]),
-    })
+    # shares 3 and 5 in the pair beat 4 and 6 alone
+    pm = payoff_map({0b01: 4.0, 0b10: 6.0, 0b11: 8.0})
     assert form_partition(pm).blocks == ((0, 1),)
 
 
@@ -62,7 +46,7 @@ def test_formed_partitions_are_individually_rational():
     for _ in range(40):
         n = int(rng.integers(2, 7))
         values = random_cost_game(rng, n)
-        pm = _pm_from_values(n, values)
+        pm = payoff_map(values)
         partition = form_partition(pm)
         assert partition.covers(n)
         for agent in range(n):
@@ -100,12 +84,12 @@ def test_optimal_structure_extremes():
     # strictly subadditive in cost: merging always helps -> grand coalition
     sub = {mask: -float(len(coalition_members(mask)) ** 2)
            for mask in range(1, 1 << n)}
-    best = optimal_structure(_cf_from_values(n, sub))
+    best = optimal_structure(sub)
     assert best.partition.blocks == (tuple(range(n)),)
     # strictly superadditive in cost: merging always hurts -> singletons
     sup = {mask: float(len(coalition_members(mask)) ** 2)
            for mask in range(1, 1 << n)}
-    best = optimal_structure(_cf_from_values(n, sup))
+    best = optimal_structure(sup)
     assert best.partition.blocks == tuple((i,) for i in range(n))
 
 
@@ -114,7 +98,7 @@ def test_optimal_structure_matches_independent_enumeration():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         values = random_cost_game(rng, n)
-        got = optimal_structure(_cf_from_values(n, values))
+        got = optimal_structure(values)
         blocks, value = best_partition_by_enumeration(values, n)
         assert got.partition.blocks == blocks
         assert got.value == pytest.approx(value, abs=1e-12)
@@ -125,8 +109,7 @@ def test_aggregate_never_worse_than_defection():
     for _ in range(20):
         n = int(rng.integers(2, 6))
         values = random_cost_game(rng, n)
-        pm = _pm_from_values(n, values)
-        partition = form_partition(pm)
+        partition = form_partition(payoff_map(values))
         formed = structure_value(partition, values).value
         singles = sum(values[1 << i] for i in range(n))
         assert formed <= singles + 1e-9

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from helpers import surplus_deficit_pair
 
-from coopgrid.dispatch import CoalitionValueBreakdown
 from coopgrid.errors import MissingCoalitionError
-from coopgrid.game import (CharacteristicFunction, CoalitionEntry,
-                           characteristic_function, coalition_mask,
+from coopgrid.game import (characteristic_function, coalition_mask,
                            coalition_members, equivalent_price, payoff_map,
                            shapley_value)
 from coopgrid.oracles import permutation_shapley, random_cost_game
@@ -22,20 +20,21 @@ def test_single_agent_sweep():
     sc = generate_synthetic_scenario(2, n_nodes=1, n_steps=6)
     cf = characteristic_function(np.zeros(1), sc, slice_horizon(sc, 0, 5), 1e-4)
     assert set(cf.entries) == {1}
-    assert cf.complete
+    assert set(cf) == {1}
 
 
 def test_three_agent_sweep_has_seven_entries():
     sc = generate_synthetic_scenario(2, n_nodes=3, n_steps=6)
     cf = characteristic_function(np.zeros(3), sc, slice_horizon(sc, 0, 5), 1e-4)
     assert len(cf.entries) == 7
-    assert cf.complete
+    assert set(cf) == set(range(1, 8))
+    assert dict(cf) == {m: e.value for m, e in cf.entries.items()}
 
 
 def test_pair_sweep_shows_merger_gain():
     sc = surplus_deficit_pair()
     cf = characteristic_function(np.zeros(2), sc, slice_horizon(sc, 0, 1), 1e-4)
-    assert cf.value((0, 1)) < cf.value((0,)) + cf.value((1,))
+    assert cf[0b11] < cf[0b01] + cf[0b10]
 
 
 def test_two_player_closed_form():
@@ -125,25 +124,23 @@ def test_payoff_map_efficiency_and_standalone():
     sc = generate_synthetic_scenario(7, n_nodes=4, n_steps=6)
     cf = characteristic_function(np.zeros(4), sc, slice_horizon(sc, 0, 5), 1e-4)
     pm = payoff_map(cf)
-    for mask, entry in cf.entries.items():
+    for mask, value in cf.items():
         members = coalition_members(mask)
-        shares = pm.entries[mask]
-        assert sum(shares) == pytest.approx(entry.value,
-                                            abs=1e-9 * max(1.0, abs(entry.value)))
+        shares = [pm.share(i, members) for i in members]
+        assert sum(shares) == pytest.approx(value, abs=1e-9 * max(1.0, abs(value)))
     for i in range(4):
-        assert pm.standalone(i) == cf.value((i,))  # exact
+        assert pm.standalone(i) == cf[1 << i]  # exact
 
 
 def test_payoff_map_matches_permutation_oracle():
     rng = np.random.default_rng(12)
     for n in range(2, 7):
         game = random_cost_game(rng, n)
-        entries = {mask: CoalitionEntry(CoalitionValueBreakdown(v, 0.0, v, 0.0), None)
-                   for mask, v in game.items()}
-        pm = payoff_map(CharacteristicFunction(n_agents=n, entries=entries))
-        assert set(pm.entries) == set(game)
-        for mask, shares in pm.entries.items():
+        pm = payoff_map(game)
+        assert pm.n_agents == n
+        for mask in game:
             members = coalition_members(mask)
+            shares = np.array([pm.share(i, members) for i in members])
             assert np.max(np.abs(shares - permutation_shapley(game, members))) <= 1e-9
             # the map and a per-coalition call read the same potentials
             assert np.array_equal(shares, shapley_value(game, members))
@@ -155,7 +152,20 @@ def test_payoff_map_single_agent():
     sc = generate_synthetic_scenario(2, n_nodes=1, n_steps=6)
     cf = characteristic_function(np.zeros(1), sc, slice_horizon(sc, 0, 5), 1e-4)
     pm = payoff_map(cf)
-    assert pm.share(0, (0,)) == cf.value((0,))
+    assert pm.share(0, (0,)) == cf[1]
+
+
+def test_payoff_map_names_a_missing_grand_coalition():
+    game = random_cost_game(np.random.default_rng(13), 3)
+    del game[0b111]
+    with pytest.raises(MissingCoalitionError, match=r"\(0, 1, 2\)"):
+        payoff_map(game)
+
+
+def test_share_outside_the_coalition_is_refused():
+    pm = payoff_map({0b01: 4.0, 0b10: 6.0, 0b11: 8.0})
+    with pytest.raises(KeyError, match="agent 1 not in coalition"):
+        pm.share(1, (0,))
 
 
 def test_equivalent_price():

@@ -174,6 +174,9 @@ def test_cli_repeated_configuration_is_usage_error(tmp_path, capsys, args):
     ["--rho=-1e-5"],
     ["--rho", "1e-5,inf"],
     ["--mode", "grid-only", "--rho", "1e-5,nan"],
+    ["--rho", "-1e-5"],
+    ["--rho", "-1e-5,1e-5"],
+    ["--rho=-1e-5,1e-5"],
 ])
 def test_cli_bad_loss_weight_is_input_error(tmp_path, capsys, args):
     out = tmp_path / "out"

@@ -101,6 +101,25 @@ def test_one_malformed_series_is_reported_alone():
     assert issues[0].startswith("node 0: demand_kwh must be a flat list of 4 numbers")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("id", 1.5),
+    ("id", "1"),
+    ("id", True),
+    ("s_max_kwh", "3"),
+    ("step_hours", "1"),
+    ("demand_kwh", ["1", "2", "0.5"]),
+    ("demand_kwh", [True, False, True]),
+])
+def test_values_that_are_not_numbers_rejected(field, value):
+    # each would otherwise convert to a number: node 1 or 1 h or 3 kWh
+    doc = json.loads(serialize_scenario(generate_synthetic_scenario(3, n_nodes=2, n_steps=3)))
+    node = doc["nodes"][1]
+    (node if field in node else doc)[field] = value
+    where = r"nodes\[1\]: .*\b" if field in node else ""
+    with pytest.raises(ScenarioError, match=where + f"{field}: .* is not a JSON"):
+        load_scenario(json.dumps(doc))
+
+
 def test_unknown_field_rejected():
     doc = json.loads(MINIMAL_DOC)
     doc["nodes"][0]["color"] = "red"
