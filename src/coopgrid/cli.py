@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and write CSV reports.",
         add_help=True,
     )
-    # argparse < 3.13 takes "-1e-5" for an option; no option here starts with "-" and a digit
-    parser._negative_number_matcher = re.compile(r"-\.?\d")
+    # argparse < 3.13 takes "-1e-5" or "-inf" for an option; no option here starts with
+    # "-" and a digit, or with "inf" or "nan", which float() reads in any letter case
+    parser._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     src = parser.add_argument_group("scenario source")
     src.add_argument("--scenario", metavar="PATH", help="scenario document to load")
     src.add_argument("--generate", action="store_true",

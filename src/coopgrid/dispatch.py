@@ -11,14 +11,26 @@ regularizer picks the minimum-circulation optimum so transfer-dependent
 loss costs are well defined.  Transfer losses are charged after the fact
 as ``loss_weight * mean_pair_distance * sum(coal_buy^2)`` and added to
 the market cost to price a coalition in ``coalition_value``.
+
+A run prices thousands of small programs, and their equality matrix
+depends only on the member count and the horizon.  So each shape's matrix
+is built once, on first use, and every program of that shape shares it
+(the bundled reference day has eight shapes, about 0.5 MB in all).  It is
+marked read-only: ``solve_lp`` copies it into its own tableau, and a write
+through one program raises instead of changing every other program.  The
+costs, bounds and right-hand sides are filled per program, as
+(member, step, variable) views.  A plan's arrays are views of the
+program's point, and a one-member plan's coalition flows are one shared
+read-only zero array.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DispatchError
-from .lp import LinearProgram, LpStatus, make_program, solve_lp
+from .lp import LinearProgram, LpStatus, solve_lp
 from .scenario import HorizonSlice, Scenario, crossed_tariffs
 
 # CU/kWh penalty on internal transfer volume; large enough to kill
@@ -28,7 +40,8 @@ TRANSFER_REG = 1e-9
 
 @dataclass
 class DispatchSolution:
-    """Optimal flows for one program; arrays are (n_members, horizon)."""
+    """Optimal flows for one program; arrays are (n_members, horizon) views
+    of the program's point, to be treated as read-only."""
 
     members: tuple[int, ...]
     storage_delta: np.ndarray
@@ -38,6 +51,8 @@ class DispatchSolution:
     coal_buy: np.ndarray
     coal_sell: np.ndarray
     market_cost: float          # grid money only, regularizer stripped
+    phase1_pivots: int          # the program's pivots, as LpSolution counts them
+    phase2_pivots: int
 
     @property
     def horizon(self) -> int:
@@ -54,6 +69,48 @@ class CoalitionValueBreakdown:
     mean_distance: float
 
 
+@functools.lru_cache(maxsize=64)  # bounded: a matrix grows with the square of its shape
+def _equality_matrix(n_members: int, horizon: int) -> np.ndarray:
+    """The equality matrix shared by every program of this shape, read-only."""
+    market = n_members > 1
+    width = 6 if market else 4
+    rows = 2 * n_members * horizon
+    aeq = np.zeros((rows + (horizon if market else 0), width * n_members * horizon))
+    # (member, step, row kind) x (member, step, variable)
+    block = aeq[:rows].reshape(n_members, horizon, 2, n_members, horizon, width)
+    for m in range(n_members):
+        for t in range(horizon):
+            recursion, balance = block[m, t, 0, m], block[m, t, 1, m]
+            # storage recursion: s(t+1) - s(t) - delta(t) = 0
+            recursion[t, 1] = 1.0
+            recursion[t, 0] = -1.0
+            if t:
+                recursion[t - 1, 1] = -1.0
+            # energy balance: delta + sell - buy (+ coal_sell - coal_buy) = generation - demand
+            balance[t, 0] = 1.0
+            balance[t, 3] = 1.0
+            balance[t, 2] = -1.0
+            if market:
+                balance[t, 5] = 1.0
+                balance[t, 4] = -1.0
+    if market:
+        # internal market clears at every step
+        clearing = aeq[rows:].reshape(horizon, n_members, horizon, width)
+        for t in range(horizon):
+            clearing[t, :, t, 5] = 1.0
+            clearing[t, :, t, 4] = -1.0
+    aeq.flags.writeable = False
+    return aeq
+
+
+@functools.lru_cache(maxsize=None)
+def _no_market(horizon: int) -> np.ndarray:
+    """The internal-market flows of a one-member plan: zeros, shared and read-only."""
+    zeros = np.zeros((1, horizon))
+    zeros.flags.writeable = False
+    return zeros
+
+
 def build_coalition_lp(slice_: HorizonSlice, storage_init, storage_cap) -> LinearProgram:
     """Market-cost program for the nodes of the slice over its horizon.
 
@@ -65,7 +122,8 @@ def build_coalition_lp(slice_: HorizonSlice, storage_init, storage_cap) -> Linea
     and sell variables, a per-step equality forces the internal market to
     clear (total sold == total bought), and the objective adds
     ``TRANSFER_REG`` times internal volume.  One member has no internal
-    market, so its program trades with the grid only.
+    market, so its program trades with the grid only.  The equality
+    matrix is the shared, read-only one of the program's shape.
     """
     ids = slice_.node_ids
     nm = len(ids)
@@ -73,51 +131,31 @@ def build_coalition_lp(slice_: HorizonSlice, storage_init, storage_cap) -> Linea
         raise ValueError("coalition needs at least one member")
     s0 = np.asarray(storage_init, dtype=float).reshape(nm)
     caps = np.asarray(storage_cap, dtype=float).reshape(nm)
-    for m in range(nm):
-        if not 0.0 <= s0[m] <= caps[m]:
-            raise ValueError(f"node {ids[m]}: storage_init {s0[m]} outside [0, {caps[m]}]")
+    outside = ~((0.0 <= s0) & (s0 <= caps))
+    if outside.any():
+        m = int(outside.argmax())
+        raise ValueError(f"node {ids[m]}: storage_init {s0[m]} outside [0, {caps[m]}]")
     h = slice_.horizon
-    market = nm > 1
-    width = 6 if market else 4  # variables per member-step
+    aeq = _equality_matrix(nm, h)
+    width = 6 if nm > 1 else 4  # variables per member-step
 
-    n = width * nm * h
-    cost = np.zeros(n)
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    aeq = np.zeros((2 * nm * h + (h if market else 0), n))
+    # (member, step, variable) views of the vectors
+    cost = np.zeros((nm, h, width))
+    cost[:, :, 2] = slice_.buy_price
+    np.negative(slice_.sell_price, out=cost[:, :, 3])
+    cost[:, :, 4:] = TRANSFER_REG
+    lower = np.zeros((nm, h, width))
+    np.negative(caps[:, None], out=lower[:, :, 0])
+    upper = np.full((nm, h, width), np.inf)
+    upper[:, :, :2] = caps[:, None, None]
     beq = np.zeros(aeq.shape[0])
-    for m in range(nm):
-        for t in range(h):
-            base = width * (m * h + t)
-            i_ds, i_s, i_buy, i_sell = range(base, base + 4)
-            cost[i_buy] = slice_.buy_price[m, t]
-            cost[i_sell] = -slice_.sell_price[m, t]
-            lower[i_ds] = -caps[m]
-            upper[i_ds] = caps[m]
-            upper[i_s] = caps[m]
-            # storage recursion: s(t+1) - s(t) - delta(t) = 0
-            r = 2 * (m * h + t)
-            aeq[r, i_s] = 1.0
-            aeq[r, i_ds] = -1.0
-            if t == 0:
-                beq[r] = s0[m]
-            else:
-                aeq[r, i_s - width] = -1.0
-            # energy balance: delta + sell - buy (+ coal_sell - coal_buy) = generation - demand
-            aeq[r + 1, i_ds] = 1.0
-            aeq[r + 1, i_sell] = 1.0
-            aeq[r + 1, i_buy] = -1.0
-            beq[r + 1] = slice_.generation[m, t] - slice_.demand[m, t]
-            if market:
-                i_cbuy, i_csell = base + 4, base + 5
-                cost[i_cbuy] = TRANSFER_REG
-                cost[i_csell] = TRANSFER_REG
-                aeq[r + 1, i_csell] = 1.0
-                aeq[r + 1, i_cbuy] = -1.0
-                # internal market clears at every step
-                aeq[2 * nm * h + t, i_csell] = 1.0
-                aeq[2 * nm * h + t, i_cbuy] = -1.0
-    return make_program(cost, aeq, beq, lower=lower, upper=upper)
+    rhs = beq[:2 * nm * h].reshape(nm, h, 2)
+    rhs[:, 0, 0] = s0
+    np.subtract(slice_.generation, slice_.demand, out=rhs[:, :, 1])
+    n = aeq.shape[1]
+    return LinearProgram(objective=cost.reshape(n), eq_matrix=aeq, eq_rhs=beq,
+                         ub_matrix=np.zeros((0, n)), ub_rhs=np.zeros(0),
+                         lower=lower.reshape(n), upper=upper.reshape(n))
 
 
 def build_individual_lp(slice_: HorizonSlice, storage_init: float,
@@ -150,11 +188,11 @@ def solve_coalition_dispatch(slice_: HorizonSlice, storage_init,
     grid_buy = point[:, :, 2]
     grid_sell = point[:, :, 3]
     # reported cost is the grid money alone, with the regularizer stripped
-    market = float(np.sum(slice_.buy_price * grid_buy - slice_.sell_price * grid_sell))
+    market = float((slice_.buy_price * grid_buy - slice_.sell_price * grid_sell).sum())
     if nm > 1:
         coal_buy, coal_sell = point[:, :, 4], point[:, :, 5]
     else:
-        coal_buy, coal_sell = np.zeros((1, h)), np.zeros((1, h))
+        coal_buy = coal_sell = _no_market(h)
     return DispatchSolution(
         members=tuple(slice_.node_ids),
         storage_delta=point[:, :, 0],
@@ -164,6 +202,8 @@ def solve_coalition_dispatch(slice_: HorizonSlice, storage_init,
         coal_buy=coal_buy,
         coal_sell=coal_sell,
         market_cost=market,
+        phase1_pivots=solution.phase1_pivots,
+        phase2_pivots=solution.phase2_pivots,
     )
 
 

@@ -39,6 +39,7 @@ axis subtracts the rows one at a time, left to right, so it rounds
 exactly as a loop of row subtractions in the same order.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -125,6 +126,13 @@ def make_program(objective, eq_matrix=None, eq_rhs=None, ub_matrix=None,
     )
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every entry is finite.  A NaN or infinite entry makes the sum
+    NaN or infinite, so a finite sum settles it in one pass without a
+    temporary; only a sum that overflows needs the entry-wise check."""
+    return not arr.size or math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+
+
 def validate_lp(problem: LinearProgram) -> list[str]:
     """Return a list of structural violations; empty when the program is well formed.
 
@@ -137,7 +145,7 @@ def validate_lp(problem: LinearProgram) -> list[str]:
         issues.append("objective must be a nonempty 1-d vector")
         return issues
     n = c.size
-    if not np.isfinite(c).all():
+    if not _finite(c):
         issues.append("objective contains non-finite entries")
 
     for label, mat, rhs in (("eq", problem.eq_matrix, problem.eq_rhs),
@@ -152,9 +160,9 @@ def validate_lp(problem: LinearProgram) -> list[str]:
         if r.ndim != 1 or r.size != m.shape[0]:
             issues.append(f"{label}_rhs length {r.size} does not match "
                           f"{label}_matrix row count {m.shape[0]}")
-        if not np.isfinite(m).all():
+        if not _finite(m):
             issues.append(f"{label}_matrix contains non-finite entries")
-        if not np.isfinite(r).all():
+        if not _finite(r):
             issues.append(f"{label}_rhs contains non-finite entries")
 
     lo = np.asarray(problem.lower, dtype=float)
@@ -164,7 +172,7 @@ def validate_lp(problem: LinearProgram) -> list[str]:
     if hi.size != n:
         issues.append(f"upper bound length {hi.size} does not match {n} variables")
     if lo.size == n and hi.size == n:
-        lo_finite = np.isfinite(lo).all()
+        lo_finite = _finite(lo)
         if not lo_finite:
             issues.append("lower bounds must all be finite")
         # with every lower bound finite, lo <= hi fails exactly where an
@@ -263,36 +271,37 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     # their number is known
     full = np.zeros((m + 1, ncols + m + 1))
     a = full[:m, :ncols]
-    b = np.zeros(m)
+    b = np.empty(m)
     if me:
         a[:me, :n] = aeq
-        b[:me] = beq - aeq @ lo
+        np.subtract(beq, aeq @ lo, out=b[:me])
     if mu:
         a[me:me + mu, :n] = aub
-        a[me:me + mu, n:n + mu] = np.eye(mu)
-        b[me:me + mu] = bub - aub @ lo
-    bound_rows = np.arange(me + mu, m)
-    a[bound_rows, bounded] = 1.0
-    a[bound_rows, n + mu + np.arange(nb)] = 1.0
+        np.subtract(bub, aub @ lo, out=b[me:me + mu])
+    # the slack columns of the <= rows and of the bound rows are one
+    # identity block, the diagonal that starts at (me, n)
+    width = full.shape[1]
+    full.reshape(-1)[me * width + n::width + 1][:mu + nb] = 1.0
+    a[np.arange(me + mu, m), bounded] = 1.0
     b[me + mu:] = span[bounded]
 
-    negative = b < 0
-    if negative.any():
+    negative = (b < 0).nonzero()[0]
+    if negative.size:
         a[negative] = -a[negative]
         b[negative] = -b[negative]
 
     # crash basis: any column whose only nonzero entry is positive can seed
     # its row's basis after scaling that row (slack columns are the common
     # case, one-sided flow variables the useful one); in each row the
-    # smallest such column wins, and the other rows get artificials
-    basis = np.full(m, -1, dtype=np.int64)
-    seeds = (a > 0.0) & ((a != 0.0).sum(axis=0) == 1)
-    seeded = seeds.any(axis=1).nonzero()[0]
-    if seeded.size:
-        cols = seeds[seeded].argmax(axis=1)
-        basis[seeded] = cols
-        piv = a[seeded, cols]
-        scale = piv != 1.0
+    # smallest such column wins, and the other rows get artificials.  In
+    # the dispatch programs every seed pivot is already 1.0
+    seeds = a > 0.0
+    seeds &= (a != 0.0).sum(axis=0) == 1
+    basis = np.where(seeds.any(axis=1), seeds.argmax(axis=1), -1)
+    seeded = (basis >= 0).nonzero()[0]
+    piv = a[seeded, basis[seeded]]
+    scale = piv != 1.0
+    if scale.any():
         rows, piv = seeded[scale], piv[scale]
         b[rows] /= piv
         a[rows, :] /= piv[:, None]
@@ -334,19 +343,19 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     keep = (basis < ncols).nonzero()[0]
     full[:, ncols] = t[:, -1]
     t2 = full[:, :ncols + 1]
+    basis2 = basis
     if keep.size < m:
         t2 = t2[np.append(keep, m)]
-    basis2 = basis[keep]
+        basis2 = basis[keep]
 
-    # reduced costs: the cost row minus each priced basic row in turn, in
-    # one ordered reduction
-    cost = np.zeros(ncols)
+    # reduced costs: the cost row (a zero under the rhs) minus each priced
+    # basic row in turn, in one ordered reduction
+    cost = np.zeros(ncols + 1)
     cost[:n] = c
     basic_cost = cost[basis2]
     priced = basic_cost.nonzero()[0]
     terms = np.empty((priced.size + 1, ncols + 1))
-    terms[0, :ncols] = cost
-    terms[0, -1] = 0.0
+    terms[0] = cost
     np.multiply(basic_cost[priced, None], t2[priced], out=terms[1:])
     t2[-1] = np.subtract.reduce(terms, axis=0)
 
@@ -356,5 +365,6 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 
     y = np.zeros(ncols)
     y[basis2] = t2[:-1, -1]
-    x = lo + y[:n]
+    x = y[:n]  # a view; y + lo rounds as lo + y
+    x += lo
     return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), phase1, phase2)

@@ -109,8 +109,15 @@ class HorizonSlice:
         return int(self.demand.shape[1])
 
     def select(self, node_ids) -> "HorizonSlice":
-        """Restrict the slice to the given node ids, in the given order."""
-        rows = [self.node_ids.index(i) for i in node_ids]
+        """Restrict the slice to the given node ids, in the given order.
+
+        One node's slice is a view of this one's rows; more nodes get copies.
+        """
+        if len(node_ids) == 1:
+            row = self.node_ids.index(node_ids[0])
+            rows = slice(row, row + 1)
+        else:
+            rows = [self.node_ids.index(i) for i in node_ids]
         return HorizonSlice(
             node_ids=tuple(node_ids),
             demand=self.demand[rows],
@@ -233,7 +240,7 @@ def _node_from_doc(doc: dict, index: int) -> NodeProfile:
             buy_price=np.asarray(_field(doc, "buy_price"), dtype=float),
             sell_price=np.asarray(_field(doc, "sell_price"), dtype=float),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"nodes[{index}]: bad field value ({exc})") from exc
 
 
@@ -257,7 +264,7 @@ def load_scenario(text: str) -> Scenario:
     try:
         step_hours = float(_field(doc, "step_hours"))
         start_hour = float(_field(doc, "start_hour"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad step_hours/start_hour value ({exc})") from exc
     nodes = [_node_from_doc(nd, i) for i, nd in enumerate(doc["nodes"])]
     scenario = Scenario(nodes=nodes, step_hours=step_hours, start_hour=start_hour)

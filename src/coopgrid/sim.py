@@ -66,7 +66,9 @@ class StepResult:
     step: all of them when the partition was re-formed, every subset of
     every block otherwise (None in the grid modes).  ``block_plans`` holds
     each block's pricing breakdown from the same entries, and ``payoffs``
-    the Shapley map when the partition was re-formed.
+    the Shapley map when the partition was re-formed.  ``lp_programs`` is
+    the number of programs solved to price the step, in every mode, and
+    ``phase1_pivots`` / ``phase2_pivots`` their pivots summed per phase.
     """
 
     step: int
@@ -82,6 +84,9 @@ class StepResult:
     block_plans: dict[int, CoalitionValueBreakdown]
     coalition_values: dict[int, float] | None
     payoffs: PayoffMap | None
+    lp_programs: int
+    phase1_pivots: int
+    phase2_pivots: int
 
 
 @dataclass
@@ -199,6 +204,9 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         block_plans=block_plans,
         coalition_values={m: e.value for m, e in records.items()} if coalitional else None,
         payoffs=pm,
+        lp_programs=len(records),
+        phase1_pivots=sum(e.solution.phase1_pivots for e in records.values()),
+        phase2_pivots=sum(e.solution.phase2_pivots for e in records.values()),
     )
     return result, SystemState(step=k + 1, storage=new_storage)
 

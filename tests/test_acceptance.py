@@ -315,3 +315,16 @@ def test_pooled_program_certifies_market_cost(ref_scenario, coalition_traces, k)
         worst = max(worst, abs(got - want))
     _report(f"pooled-program certificate (step {k})",
             f"255 coalitions, worst market-cost gap {worst:.1e}")
+
+
+def test_reference_run_lp_counts(coalition_traces):
+    # the programs and per-phase pivots of the reference run at rho = 1e-5:
+    # a change that claims the same pivot path must keep these counts
+    steps = coalition_traces[1e-5].steps
+    assert all(res.lp_programs == 255 for res in steps)
+    programs = sum(res.lp_programs for res in steps)
+    phase1 = sum(res.phase1_pivots for res in steps)
+    phase2 = sum(res.phase2_pivots for res in steps)
+    assert (programs, phase1, phase2) == (4335, 230275, 290930)
+    _report("reference-run LP counts",
+            f"{programs} programs, {phase1} phase-1 and {phase2} phase-2 pivots")

@@ -1,3 +1,4 @@
+import dispatch_loop_reference
 import numpy as np
 import pytest
 from helpers import make_node, make_scenario, surplus_deficit_pair
@@ -6,6 +7,7 @@ from coopgrid.dispatch import (build_coalition_lp, build_individual_lp, coalitio
                                evaluate_loss_cost, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
 from coopgrid.errors import DispatchError
+from coopgrid.game import coalition_members
 from coopgrid.lp import solve_lp
 from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
 
@@ -220,3 +222,61 @@ def test_individual_lp_shape():
     assert joint.eq_matrix.shape == (6, 12)
     pair = slice_horizon(surplus_deficit_pair(steps=3), 0, 3)
     assert build_coalition_lp(pair, [0.0, 0.0], [0.0, 0.0]).eq_matrix.shape == (15, 36)
+
+
+# --- the vectorized builder against the loop reference --------------------------
+
+PROGRAM_FIELDS = ("objective", "eq_matrix", "eq_rhs", "ub_matrix", "ub_rhs", "lower", "upper")
+
+
+def _builder_cases(ref_scenario):
+    """Every coalition of the reference day at steps 0/8/16 and of a generated
+    5-node world at each of its 8 steps, at horizons 1/3/5, with storage
+    inside real capacities and with zero capacities."""
+    world = generate_synthetic_scenario(17, n_nodes=5, n_steps=8)
+    for scenario, steps in ((ref_scenario, (0, 8, 16)), (world, range(8))):
+        caps = scenario.storage_capacities
+        levels = caps * np.linspace(0.1, 0.9, scenario.n_nodes)
+        zero = np.zeros(scenario.n_nodes)
+        for k in steps:
+            for h in (1, 3, 5):
+                hs = slice_horizon(scenario, k, h)
+                for storage, cap in ((levels, caps), (zero, zero)):
+                    for mask in range(1, 1 << scenario.n_nodes):
+                        members = list(coalition_members(mask))
+                        yield hs.select(members), storage[members], cap[members]
+
+
+def test_builder_matches_loop_reference_bytes(ref_scenario):
+    programs = negative_zero_bounds = 0
+    for hs, storage, cap in _builder_cases(ref_scenario):
+        got = build_coalition_lp(hs, storage, cap)
+        want = dispatch_loop_reference.build_coalition_lp(hs, storage, cap)
+        for field in PROGRAM_FIELDS:
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), field
+            assert a.tobytes() == b.tobytes(), field
+        negative_zero_bounds += int(np.signbit(got.lower).sum())
+        programs += 1
+    assert programs == 6078
+    # zero-capacity members have the storage-delta lower bound -0.0
+    assert negative_zero_bounds > 0
+
+
+def test_equality_matrix_is_shared_and_read_only(ref_scenario):
+    a = build_coalition_lp(slice_horizon(ref_scenario, 0, 5).select((0, 3)),
+                           [0.0, 0.0], [1.0, 1.0])
+    b = build_coalition_lp(slice_horizon(ref_scenario, 9, 5).select((2, 7)),
+                           [0.5, 0.0], [2.0, 3.0])
+    assert a.eq_matrix is b.eq_matrix
+    with pytest.raises(ValueError, match="read-only"):
+        a.eq_matrix[0, 0] = 2.0
+    single = build_coalition_lp(slice_horizon(ref_scenario, 0, 5).select((1,)), [0.0], [1.0])
+    assert single.eq_matrix is not a.eq_matrix
+    with pytest.raises(ValueError, match="read-only"):
+        single.eq_matrix[0, 0] = 2.0
+    # a one-member plan's internal market is one shared read-only zero array
+    sol = solve_individual_dispatch(slice_horizon(ref_scenario, 0, 5).select((1,)), 0.0, 1.0)
+    assert sol.coal_buy is sol.coal_sell and not sol.coal_buy.any()
+    with pytest.raises(ValueError, match="read-only"):
+        sol.coal_buy[0, 0] = 1.0

@@ -145,6 +145,19 @@ def test_cli_nested_series_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_number_too_large_for_a_float_is_input_error(tmp_path, capsys):
+    doc = json.loads(serialize_scenario(generate_synthetic_scenario(5, n_nodes=2, n_steps=4)))
+    doc["nodes"][0]["s_max_kwh"] = 10 ** 400  # a 401-digit JSON integer
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "too large" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_cli_usage_errors(capsys):
     assert main(["--nope"]) == 1
     assert main(["--generate", "--sweep-rho", "1e-5", "--out", "y"]) == 1
@@ -177,6 +190,8 @@ def test_cli_repeated_configuration_is_usage_error(tmp_path, capsys, args):
     ["--rho", "-1e-5"],
     ["--rho", "-1e-5,1e-5"],
     ["--rho=-1e-5,1e-5"],
+    ["--rho", "-inf"],
+    ["--rho", "-Infinity,1e-5"],
 ])
 def test_cli_bad_loss_weight_is_input_error(tmp_path, capsys, args):
     out = tmp_path / "out"

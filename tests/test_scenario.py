@@ -143,6 +143,13 @@ def test_malformed_text_rejected():
         load_scenario("{not json")
 
 
+def test_number_too_large_for_a_float_rejected():
+    doc = json.loads(serialize_scenario(generate_synthetic_scenario(3, n_nodes=2, n_steps=3)))
+    doc["nodes"][1]["s_max_kwh"] = 10 ** 400  # a 401-digit JSON integer
+    with pytest.raises(ScenarioError, match=r"nodes\[1\]: bad field value .*too large"):
+        load_scenario(json.dumps(doc))
+
+
 def test_crossed_storage_rejected():
     doc = json.loads(MINIMAL_DOC)
     doc["nodes"][0]["s0_kwh"] = 5.0
