@@ -20,7 +20,7 @@ print(f"characteristic function over {len(cf.entries)} coalitions (4 agents)\n")
 
 print("coalition               market    losses     value")
 for mask in sorted(cf.entries, key=lambda m: (bin(m).count('1'), m)):
-    b = cf.entries[mask].breakdown
+    b, _plan = cf.entries[mask]
     members = coalition_members(mask)
     print(f"  {str(members):20s} {b.market_cost:9.4f} {b.loss_cost:9.6f} {b.total:9.4f}")
 

@@ -14,9 +14,9 @@ from .errors import (CoopGridError, DispatchError, LpValidationError,
                      MissingCoalitionError, ScenarioError)
 from .formation import (Partition, StructureValue, enumerate_partitions,
                         form_partition, optimal_structure, structure_value)
-from .game import (CharacteristicFunction, CoalitionEntry, PayoffMap, PriceRecord,
-                   characteristic_function, coalition_mask, coalition_members,
-                   equivalent_price, payoff_map, shapley_value)
+from .game import (CharacteristicFunction, PayoffMap, characteristic_function,
+                   coalition_mask, coalition_members, equivalent_price, payoff_map,
+                   shapley_value)
 from .lp import (LinearProgram, LpSolution, LpStatus, make_program, solve_lp,
                  validate_lp)
 from .report import RunManifest, summarize_prices, trace_label, write_reports
@@ -30,12 +30,12 @@ from .sim import (SimConfig, SimMode, SimulationTrace, StepResult, SystemState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharacteristicFunction", "CoalitionEntry", "CoalitionValueBreakdown",
-    "CoopGridError", "DispatchError", "DispatchSolution", "HorizonSlice",
-    "LinearProgram", "LpSolution", "LpStatus", "LpValidationError",
-    "MissingCoalitionError", "NodeProfile", "Partition", "PayoffMap",
-    "PriceRecord", "RunManifest", "Scenario", "ScenarioError", "SimConfig",
-    "SimMode", "SimulationTrace", "StepResult", "StructureValue", "SystemState",
+    "CharacteristicFunction", "CoalitionValueBreakdown", "CoopGridError",
+    "DispatchError", "DispatchSolution", "HorizonSlice", "LinearProgram",
+    "LpSolution", "LpStatus", "LpValidationError", "MissingCoalitionError",
+    "NodeProfile", "Partition", "PayoffMap", "RunManifest", "Scenario",
+    "ScenarioError", "SimConfig", "SimMode", "SimulationTrace", "StepResult",
+    "StructureValue", "SystemState",
     "build_coalition_lp", "build_individual_lp", "characteristic_function",
     "coalition_mask", "coalition_members", "coalition_value",
     "enumerate_partitions", "equivalent_price", "evaluate_loss_cost",

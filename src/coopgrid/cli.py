@@ -173,6 +173,14 @@ def main(argv=None) -> int:
     if args.oracle_check:
         return _oracle_check()
 
+    # refuse an output path that cannot become a directory before any run starts
+    out = Path(args.out)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        print(f"input error: --out {out}: {blocker} exists and is not a directory",
+              file=sys.stderr)
+        return EXIT_INPUT
+
     try:
         if args.scenario:
             path = Path(args.scenario)

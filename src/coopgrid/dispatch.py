@@ -54,10 +54,6 @@ class DispatchSolution:
     phase1_pivots: int          # the program's pivots, as LpSolution counts them
     phase2_pivots: int
 
-    @property
-    def horizon(self) -> int:
-        return int(self.grid_buy.shape[1])
-
 
 @dataclass(frozen=True)
 class CoalitionValueBreakdown:
@@ -243,6 +239,9 @@ def coalition_value(members, storage_levels, scenario: Scenario, slice_: Horizon
     members = tuple(sorted(members))
     if not members:
         raise ValueError("coalition must be nonempty")
+    for a, b in zip(members, members[1:]):
+        if a == b:
+            raise ValueError(f"coalition repeats member {a}")
     storage = np.asarray(storage_levels, dtype=float)
     hs = slice_.select(members)
     nodes = [scenario.nodes[i] for i in members]

@@ -5,7 +5,9 @@ agent ``i`` is a member).  All values are costs: lower is better, and a
 negative share is money earned.
 
 The sweep and ``sim.step``'s repricing of retained blocks share one loop
-over the subsets of blocks, on the step's horizon slice.
+over the subsets of blocks, on the step's horizon slice.  That loop
+builds the step's one table of priced coalitions: mask -> the
+``(breakdown, plan)`` pair ``coalition_value`` returned.
 
 Every coalition-cost table is a mask -> cost mapping, a plain dict or a
 :class:`CharacteristicFunction`; a whole game's agent count is read off
@@ -52,24 +54,14 @@ def coalition_members(mask: int) -> tuple[int, ...]:
 
 
 @dataclass
-class CoalitionEntry:
-    breakdown: CoalitionValueBreakdown
-    solution: DispatchSolution
-
-    @property
-    def value(self) -> float:
-        return self.breakdown.total
-
-
-@dataclass
 class CharacteristicFunction(Mapping):
     """Coalition mask -> cost, read-only; ``entries`` keeps each coalition's
-    pricing breakdown and planned dispatch."""
+    ``(breakdown, plan)`` pair, as ``coalition_value`` returned it."""
 
-    entries: dict[int, CoalitionEntry]
+    entries: dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]]
 
     def __getitem__(self, mask: int) -> float:
-        return self.entries[mask].value
+        return self.entries[mask][0].total
 
     def __iter__(self):
         return iter(self.entries)
@@ -95,22 +87,12 @@ class PayoffMap:
         return self.share(agent, (agent,))
 
 
-@dataclass(frozen=True)
-class PriceRecord:
-    """Settled charge of one agent at one step and the implied per-kWh price."""
-
-    agent: int
-    step: int
-    charge: float
-    net_energy: float
-    price: float | None
-
-
 def _price_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSlice,
-                   loss_weight: float) -> dict[int, CoalitionEntry]:
+                   loss_weight: float
+                   ) -> dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]]:
     """Price every nonempty subset of each block.  Private, as the tracer in
     ``perfbench/`` counts pricings by the public function that calls them."""
-    entries: dict[int, CoalitionEntry] = {}
+    entries = {}
     for block in blocks:
         full = coalition_mask(block)
         sub = 0
@@ -118,8 +100,8 @@ def _price_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSl
             sub = (sub - full) & full  # next submask of full, in increasing order
             members = coalition_members(sub)
             try:
-                entries[sub] = CoalitionEntry(*coalition_value(
-                    members, storage_levels, scenario, slice_, loss_weight))
+                entries[sub] = coalition_value(members, storage_levels, scenario,
+                                               slice_, loss_weight)
             except DispatchError as exc:
                 raise DispatchError(f"coalition {members}: {exc}") from exc
     return entries

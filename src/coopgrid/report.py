@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .game import PRICE_ENERGY_FLOOR
+from .game import PRICE_ENERGY_FLOOR, equivalent_price
 from .sim import SimMode, SimulationTrace
 
 
@@ -62,17 +62,18 @@ def _fmt(x: float) -> str:
 
 
 def summarize_prices(trace: SimulationTrace) -> dict[int, float | None]:
-    """Per-agent mean equivalent price over the steps where the agent was a
-    net buyer; None for agents that never bought."""
+    """Per-agent mean equivalent price (settled charge over net energy bought,
+    grid and coalition flows alike) over the steps where the agent was a net
+    buyer; None for agents that never bought."""
     if not trace.steps:
         raise ValueError("trace has no steps")
-    out: dict[int, float | None] = {}
-    for agent in range(trace.n_agents):
-        samples = [rec.price for res in trace.steps
-                   for rec in (res.prices[agent],)
-                   if rec.net_energy > PRICE_ENERGY_FLOOR and rec.price is not None]
-        out[agent] = sum(samples) / len(samples) if samples else None
-    return out
+    samples: list[list[float]] = [[] for _ in range(trace.n_agents)]
+    for res in trace.steps:
+        net = res.grid_buy - res.grid_sell + res.coal_buy - res.coal_sell
+        for agent, energy in enumerate(net.tolist()):
+            if energy > PRICE_ENERGY_FLOOR:
+                samples[agent].append(equivalent_price(float(res.charges[agent]), energy))
+    return {agent: sum(s) / len(s) if s else None for agent, s in enumerate(samples)}
 
 
 def write_reports(traces: list[SimulationTrace], out_dir,

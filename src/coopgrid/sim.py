@@ -7,6 +7,8 @@ partition is formed (or retained between re-formation steps, pricing only
 the subsets of its blocks), each block's priced plan is applied for one
 step, and realized money is settled inside each block with a one-step
 Shapley allocation built from the first-step costs of the same priced plans.
+The step keeps one table of priced coalitions, mask -> ``(breakdown, plan)``;
+the applied flows, the settlement and the step's counters all read it.
 Grid-only and grid-with-storage modes run the same loop on singleton
 blocks; grid-only runs on a copy of the scenario without storage.
 """
@@ -17,12 +19,11 @@ from enum import Enum
 
 import numpy as np
 
-from .dispatch import CoalitionValueBreakdown
+from .dispatch import CoalitionValueBreakdown, DispatchSolution
 from .errors import DispatchError, ScenarioError
 from .formation import Partition, form_partition
-from .game import (CoalitionEntry, PayoffMap, PriceRecord, _price_subsets,
-                   characteristic_function, coalition_mask, equivalent_price, payoff_map,
-                   shapley_value)
+from .game import (PayoffMap, _price_subsets, characteristic_function, coalition_mask,
+                   payoff_map, shapley_value)
 from .scenario import HorizonSlice, Scenario, slice_horizon, validate_scenario
 
 STORAGE_DRIFT_TOL = 1e-8
@@ -61,13 +62,13 @@ class SystemState:
 class StepResult:
     """Everything applied and settled at one step.
 
-    Flow arrays are per agent (length N) at the applied step.
+    Flow arrays are per agent (length N) at the applied step; an agent's
+    net energy is ``grid_buy - grid_sell + coal_buy - coal_sell``.
     ``coalition_values`` holds the cost of every coalition priced this
     step: all of them when the partition was re-formed, every subset of
-    every block otherwise (None in the grid modes).  ``block_plans`` holds
-    each block's pricing breakdown from the same entries, and ``payoffs``
-    the Shapley map when the partition was re-formed.  ``lp_programs`` is
-    the number of programs solved to price the step, in every mode, and
+    every block otherwise (the singletons in the grid modes).  ``payoffs``
+    is the Shapley map when the partition was re-formed.  ``lp_programs``
+    is the number of programs solved to price the step, and
     ``phase1_pivots`` / ``phase2_pivots`` their pivots summed per phase.
     """
 
@@ -80,9 +81,7 @@ class StepResult:
     storage_delta: np.ndarray
     storage_after: np.ndarray
     charges: np.ndarray
-    prices: list[PriceRecord]
-    block_plans: dict[int, CoalitionValueBreakdown]
-    coalition_values: dict[int, float] | None
+    coalition_values: dict[int, float]
     payoffs: PayoffMap | None
     lp_programs: int
     phase1_pivots: int
@@ -112,16 +111,16 @@ def settle_step(partition: Partition, first_step_values: dict[int, float]) -> np
     return charges
 
 
-def _one_step_cost(entry: CoalitionEntry, hs: HorizonSlice, loss_weight: float) -> float:
+def _one_step_cost(breakdown: CoalitionValueBreakdown, sol: DispatchSolution,
+                   hs: HorizonSlice, loss_weight: float) -> float:
     """Realized cost of a priced dispatch at its first step: grid money plus
     the transfer-loss charge on the applied coalition purchases."""
-    sol = entry.solution
     cost = 0.0
     for row, agent in enumerate(sol.members):
         cost += float(hs.buy_price[agent, 0] * sol.grid_buy[row, 0]
                       - hs.sell_price[agent, 0] * sol.grid_sell[row, 0])
     if loss_weight:
-        cost += (loss_weight * entry.breakdown.mean_distance
+        cost += (loss_weight * breakdown.mean_distance
                  * float(np.sum(sol.coal_buy[:, 0] ** 2)))
     return cost
 
@@ -147,12 +146,12 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
             cf = characteristic_function(state.storage, scenario, hs, config.loss_weight)
             pm = payoff_map(cf)
             partition = form_partition(pm)
-            records = cf.entries
+            priced = cf.entries
         else:
             partition = (prev_partition if coalitional
                          else Partition.from_blocks([(i,) for i in range(n)]))
-            records = _price_subsets(partition.blocks, state.storage, scenario, hs,
-                                     config.loss_weight)
+            priced = _price_subsets(partition.blocks, state.storage, scenario, hs,
+                                    config.loss_weight)
     except DispatchError as exc:
         raise DispatchError(f"step {k}, {exc}") from exc
 
@@ -161,12 +160,8 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
     coal_buy = np.zeros(n)
     coal_sell = np.zeros(n)
     storage_delta = np.zeros(n)
-    block_plans: dict[int, CoalitionValueBreakdown] = {}
     for block in partition.blocks:
-        block_mask = coalition_mask(block)
-        entry = records[block_mask]
-        sol = entry.solution
-        block_plans[block_mask] = entry.breakdown
+        sol = priced[coalition_mask(block)][1]
         idx = list(block)
         grid_buy[idx] = sol.grid_buy[:, 0]
         grid_sell[idx] = sol.grid_sell[:, 0]
@@ -174,15 +169,9 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         coal_sell[idx] = sol.coal_sell[:, 0]
         storage_delta[idx] = sol.storage_delta[:, 0]
 
-    first_step_values = {mask: _one_step_cost(entry, hs, config.loss_weight)
-                         for mask, entry in records.items()}
+    first_step_values = {mask: _one_step_cost(breakdown, sol, hs, config.loss_weight)
+                         for mask, (breakdown, sol) in priced.items()}
     charges = settle_step(partition, first_step_values)
-
-    net = grid_buy - grid_sell + coal_buy - coal_sell
-    prices = [PriceRecord(agent=i, step=k, charge=float(charges[i]),
-                          net_energy=float(net[i]),
-                          price=equivalent_price(float(charges[i]), float(net[i])))
-              for i in range(n)]
 
     new_storage = state.storage + storage_delta
     drift = float(np.max(np.maximum(-new_storage, new_storage - caps), initial=0.0))
@@ -200,13 +189,11 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         storage_delta=storage_delta,
         storage_after=new_storage.copy(),
         charges=charges,
-        prices=prices,
-        block_plans=block_plans,
-        coalition_values={m: e.value for m, e in records.items()} if coalitional else None,
+        coalition_values={mask: breakdown.total for mask, (breakdown, _) in priced.items()},
         payoffs=pm,
-        lp_programs=len(records),
-        phase1_pivots=sum(e.solution.phase1_pivots for e in records.values()),
-        phase2_pivots=sum(e.solution.phase2_pivots for e in records.values()),
+        lp_programs=len(priced),
+        phase1_pivots=sum(sol.phase1_pivots for _, sol in priced.values()),
+        phase2_pivots=sum(sol.phase2_pivots for _, sol in priced.values()),
     )
     return result, SystemState(step=k + 1, storage=new_storage)
 

@@ -124,6 +124,15 @@ def test_coalition_value_singleton(ref_scenario):
         assert breakdown.total == pytest.approx(ind.market_cost, abs=1e-8)
 
 
+@pytest.mark.parametrize("members", [(0, 0), (2, 1, 2), (1, 0, 1, 1)])
+def test_coalition_value_refuses_a_repeated_member(members):
+    # a repeated id would price a phantom copy of that node's program
+    sc = generate_synthetic_scenario(1, n_nodes=3, n_steps=4)
+    repeated = max(set(members), key=members.count)
+    with pytest.raises(ValueError, match=f"repeats member {repeated}"):
+        coalition_value(members, np.zeros(3), sc, slice_horizon(sc, 0, 3), 1e-5)
+
+
 def _all_disjoint_pairs(n):
     full = range(1, 1 << n)
     for s in full:

@@ -28,7 +28,7 @@ def test_three_agent_sweep_has_seven_entries():
     cf = characteristic_function(np.zeros(3), sc, slice_horizon(sc, 0, 5), 1e-4)
     assert len(cf.entries) == 7
     assert set(cf) == set(range(1, 8))
-    assert dict(cf) == {m: e.value for m, e in cf.entries.items()}
+    assert dict(cf) == {m: b.total for m, (b, _plan) in cf.entries.items()}
 
 
 def test_pair_sweep_shows_merger_gain():

@@ -1,0 +1,131 @@
+"""Property tests over generated worlds and fuzzed scenario documents.
+
+Worlds come from ``generate_synthetic_scenario`` with 1-4 nodes and 1-4
+steps; the horizon, the re-formation period and the loss weight are drawn
+too.  Examples are derandomized, so every run checks the same cases.
+"""
+
+import json
+
+import numpy as np
+from helpers import traces_equal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopgrid.dispatch import mean_pairwise_distance
+from coopgrid.errors import ScenarioError
+from coopgrid.scenario import generate_synthetic_scenario, load_scenario, serialize_scenario
+from coopgrid.sim import SimConfig, SimMode, run
+
+seeds = st.integers(0, 10_000)
+horizons = st.integers(1, 3)
+periods = st.integers(1, 3)
+rhos = st.sampled_from([0.0, 1e-5, 1e-4, 5e-3])
+
+
+def _settings(max_examples: int):
+    return settings(derandomize=True, deadline=None, max_examples=max_examples)
+
+
+def _coalitional(horizon, period, rho) -> SimConfig:
+    return SimConfig(mode=SimMode.COALITIONAL, horizon=horizon, loss_weight=rho,
+                     reform_period=period)
+
+
+@_settings(150)
+@given(seed=seeds, n_nodes=st.integers(1, 4), n_steps=st.integers(1, 4),
+       horizon=horizons, period=periods, rho=rhos)
+def test_budget_balance_rationality_and_storage_bounds(seed, n_nodes, n_steps, horizon,
+                                                       period, rho):
+    world = generate_synthetic_scenario(seed, n_nodes=n_nodes, n_steps=n_steps)
+    trace = run(world, _coalitional(horizon, period, rho))
+    caps = world.storage_capacities
+    for res in trace.steps:
+        k = res.step
+        assert (res.payoffs is not None) == (k % period == 0)
+        for block in res.partition.blocks:
+            idx = list(block)
+            # each block settles exactly what its applied flows cost at this step
+            nodes = [world.nodes[i] for i in block]
+            grid = sum(nd.buy_price[k] * res.grid_buy[i] - nd.sell_price[k] * res.grid_sell[i]
+                       for i, nd in zip(block, nodes))
+            loss = (rho * mean_pairwise_distance([nd.position for nd in nodes])
+                    * float(np.sum(res.coal_buy[idx] ** 2)))
+            assert abs(float(np.sum(res.charges[idx])) - (grid + loss)) <= 1e-9 * max(
+                1.0, abs(grid + loss))
+            # the internal market clears inside each block
+            assert abs(float(np.sum(res.coal_buy[idx] - res.coal_sell[idx]))) <= 1e-9
+            if res.payoffs is not None:  # individually rational when formed
+                for agent in block:
+                    assert res.payoffs.share(agent, block) <= res.payoffs.standalone(agent)
+        assert np.all(res.storage_after >= 0.0) and np.all(res.storage_after <= caps)
+
+
+@_settings(40)
+@given(seed=seeds, n_nodes=st.integers(1, 4), n_steps=st.integers(1, 4),
+       horizon=horizons, period=periods, rho=rhos)
+def test_two_runs_are_bitwise_equal(seed, n_nodes, n_steps, horizon, period, rho):
+    world = generate_synthetic_scenario(seed, n_nodes=n_nodes, n_steps=n_steps)
+    config = _coalitional(horizon, period, rho)
+    assert traces_equal(run(world, config), run(world, config))
+
+
+@_settings(60)
+@given(seed=seeds, n_steps=st.integers(1, 4), horizon=horizons, period=periods, rho=rhos)
+def test_one_node_coalitional_run_is_grid_storage(seed, n_steps, horizon, period, rho):
+    world = generate_synthetic_scenario(seed, n_nodes=1, n_steps=n_steps)
+    config = _coalitional(horizon, period, rho)
+    storage = SimConfig(mode=SimMode.GRID_STORAGE, horizon=horizon)
+    assert traces_equal(run(world, config), run(world, storage))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 400, 10 ** 400)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _mutate_tree(data, doc) -> None:
+    """Replace, delete or add one entry somewhere inside the parsed document."""
+    target = doc
+    while True:
+        key = data.draw(st.sampled_from(list(target) if isinstance(target, dict)
+                                        else range(len(target))))
+        child = target[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        target = child
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        target[key] = data.draw(json_values)
+    elif action == "delete":
+        del target[key]
+    elif isinstance(target, dict):
+        target[data.draw(st.text(max_size=8))] = data.draw(json_values)
+    else:
+        target.insert(key, data.draw(json_values))
+
+
+@_settings(500)
+@given(seed=seeds, n_nodes=st.integers(1, 3), n_steps=st.integers(1, 4),
+       edits=st.integers(1, 3), text_level=st.booleans(), data=st.data())
+def test_fuzzed_documents_raise_only_scenario_errors(seed, n_nodes, n_steps, edits,
+                                                     text_level, data):
+    text = serialize_scenario(generate_synthetic_scenario(seed, n_nodes=n_nodes,
+                                                          n_steps=n_steps))
+    if text_level:
+        for _ in range(edits):
+            start = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 4))
+            text = text[:start] + data.draw(st.text(max_size=3)) + text[start + cut:]
+    else:
+        doc = json.loads(text)
+        for _ in range(edits):
+            _mutate_tree(data, doc)
+        text = json.dumps(doc)
+    try:
+        load_scenario(text)
+    except ScenarioError:
+        pass

@@ -3,6 +3,7 @@ import json
 import pytest
 from helpers import make_node, make_scenario
 
+from coopgrid import cli
 from coopgrid.cli import main
 from coopgrid.report import summarize_prices, trace_label, write_reports
 from coopgrid.scenario import generate_synthetic_scenario, serialize_scenario
@@ -156,6 +157,23 @@ def test_cli_number_too_large_for_a_float_is_input_error(tmp_path, capsys):
     assert err.startswith("input error:") and "too large" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)])
+def test_cli_out_through_a_file_is_input_error(tmp_path, capsys, monkeypatch, below):
+    taken = tmp_path / "taken.txt"
+    taken.write_text("keep\n")
+
+    def no_run(*args):
+        raise AssertionError("a simulation ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = taken.joinpath(*below)
+    assert main(["--generate", "--nodes", "2", "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "not a directory" in err
+    assert len(err.strip().splitlines()) == 1
+    assert taken.read_text() == "keep\n"
 
 
 def test_cli_usage_errors(capsys):
