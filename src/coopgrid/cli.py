@@ -80,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _oracle_check() -> int:
+    # every comparison is written `not diff <= tol`, so a NaN on either side fails it
     rng = np.random.default_rng(20240917)
     for trial in range(100):
         prog = random_box_lp(rng)
@@ -91,7 +92,7 @@ def _oracle_check() -> int:
             return EXIT_RUNTIME
         if got.status is LpStatus.OPTIMAL:
             tol = 1e-8 * max(1.0, abs(want.objective_value))
-            if abs(got.objective_value - want.objective_value) > tol:
+            if not abs(got.objective_value - want.objective_value) <= tol:
                 print(f"oracle-check FAIL: lp trial {trial} objective "
                       f"{got.objective_value} vs {want.objective_value}")
                 return EXIT_RUNTIME
@@ -103,7 +104,7 @@ def _oracle_check() -> int:
         members = tuple(range(n))
         got = shapley_value(game, members)
         want = permutation_shapley(game, members)
-        if np.max(np.abs(got - want)) > 1e-9:
+        if not np.max(np.abs(got - want)) <= 1e-9:
             print(f"oracle-check FAIL: shapley trial {trial}")
             return EXIT_RUNTIME
     print("oracle-check: shapley shares match the all-orderings average on 30 games")
@@ -113,7 +114,7 @@ def _oracle_check() -> int:
         game = random_cost_game(rng, n)
         best = optimal_structure(game)
         blocks, value = best_partition_by_enumeration(game, n)
-        if best.partition.blocks != blocks or abs(best.value - value) > 1e-12:
+        if best.partition.blocks != blocks or not abs(best.value - value) <= 1e-12:
             print(f"oracle-check FAIL: structure trial {trial}")
             return EXIT_RUNTIME
     print("oracle-check: structure search matches independent enumeration on 20 games")
@@ -123,7 +124,7 @@ def _oracle_check() -> int:
     members = tuple(range(ref.n_nodes))
     want = coalition_value(members, ref.storage_init, ref, window, 0.0)[0].market_cost
     got = pooled_market_cost(members, ref.storage_init, ref, window)
-    if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+    if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):
         print(f"oracle-check FAIL: pooled market cost {got} vs grand coalition {want}")
         return EXIT_RUNTIME
     print("oracle-check: pooled program matches the grand coalition's market cost "

@@ -16,12 +16,13 @@ A run prices thousands of small programs, and their equality matrix
 depends only on the member count and the horizon.  So each shape's matrix
 is built once, on first use, and every program of that shape shares it
 (the bundled reference day has eight shapes, about 0.5 MB in all).  It is
-marked read-only: ``solve_lp`` copies it into its own tableau, and a write
-through one program raises instead of changing every other program.  The
-costs, bounds and right-hand sides are filled per program, as
-(member, step, variable) views.  A plan's arrays are views of the
-program's point, and a one-member plan's coalition flows are one shared
-read-only zero array.
+marked read-only: ``solve_lp`` only reads it (it copies it into its own
+tableau, or compares it by content with the matrices of the phase-1 paths
+it recorded), and a write through one program raises instead of changing
+every other program.  The costs, bounds and right-hand sides are filled
+per program, as (member, step, variable) views.  A plan's arrays are
+views of the program's point, and a one-member plan's coalition flows are
+one shared read-only zero array.
 """
 
 import functools

@@ -37,11 +37,42 @@ The phase-1 objective row and the phase-2 reduced costs are each one
 ``np.subtract.reduce`` over stacked rows.  A reduction along the first
 axis subtracts the rows one at a time, left to right, so it rounds
 exactly as a loop of row subtractions in the same order.
+
+Phase 1 is often replayed rather than run.  Programs with equal
+matrices (compared by content), the same bounded variables and the same
+negated rows start from the same tableau except for its rhs column, and
+their phase-1 pivots repeat.  So a solve records its phase-1 path: each
+pivot's entering column, the nonzero rows and entries of that column
+and the leaving row, then the nonzero entries of the constraint rows it
+leaves to phase 2.  A later program with the same key
+replays a recorded path on its rhs alone, in Python floats: at every
+pivot it reruns the ratio test through the same :func:`_leaving_row`
+and updates each eliminated row's rhs as ``rhs[r] - e * (rhs[leave] /
+p)``, the operations :func:`_eliminate` performs on that column.  When
+the ratio test picks a row no recorded path took, the program is solved
+from its untouched initial tableau; after a full replay, phase 2 starts
+from the stored rows.  The pivots and bits are those of the full solve:
+
+* an elimination updates each column from that column and the pivot
+  column only, so the tableau without its rhs column depends on the
+  pivots taken, not on the rhs;
+* phase-1 entering choices read only the rhs-free part of the objective
+  row, so equal pivots so far give equal entering columns, equal
+  column entries and an equal set of rows eligible to leave;
+* the rhs column is updated only from nonzero pivot-column entries, so
+  the signs of zeros, which may differ between the stored rows and the
+  full solve's, never reach it.
+
+The memo is bounded: at most ``_PATHS_PER_TABLEAU`` paths a key and
+``_MEMO_BYTES`` of arrays in all, least recently used first out.
 """
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,11 +230,29 @@ def _eliminate(t: np.ndarray, basis: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
-def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int) -> tuple[str, int]:
+def _leaving_row(rows: list, entries: list, rhs: list, basis) -> int:
+    """Bland's ratio test on Python floats: of ``rows``, whose entering-column
+    ``entries`` and ``rhs`` values are given, the row with an entry
+    ``> PIVOT_TOL`` and the least ratio, ties within ``1e-12`` (relative)
+    going to the smallest basic index; -1 when no entry passes."""
+    ratios = [(b / e, r) for r, e, b in zip(rows, entries, rhs) if e > PIVOT_TOL]
+    if not ratios:
+        return -1
+    if len(ratios) == 1:  # one pivot in seven in dispatch programs
+        return ratios[0][1]
+    rmin = min(ratio for ratio, _ in ratios)
+    cut = rmin + 1e-12 * max(1.0, abs(rmin))
+    return min((r for ratio, r in ratios if ratio <= cut), key=basis.__getitem__)
+
+
+def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int,
+                         record: list | None = None) -> tuple[str, int]:
     """Run Bland-rule pivots until no reduced cost is negative.
 
     ``limit`` is the number of leftmost columns eligible to enter (it
     excludes the rhs column).  Returns the outcome and the pivot count.
+    Each pivot is appended to ``record``, when given, as
+    ``(enter, leave, rows, entries)``.
     """
     m = t.shape[0] - 1
     obj = t[m, :limit]
@@ -218,22 +267,241 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int) -> tuple[
         column = columns[enter]
         nz = column.nonzero()[0]
         entries = column[nz]
-        # ratio test on Python floats over the few nonzero rows; the
-        # objective row is among them, but its entry is negative, so it
-        # never passes
-        ratios = [(b / e, r) for r, e, b in zip(nz.tolist(), entries.tolist(),
-                                                rhs[nz].tolist()) if e > PIVOT_TOL]
-        if not ratios:
+        # the objective row is among the nonzero rows, but its entry is
+        # negative, so it never passes the ratio test
+        leave = _leaving_row(nz.tolist(), entries.tolist(), rhs[nz].tolist(), basis)
+        if leave < 0:
             return "unbounded", pivots
-        if len(ratios) == 1:  # one pivot in seven in dispatch programs
-            leave = ratios[0][1]
-        else:
-            rmin = min(ratio for ratio, _ in ratios)
-            cut = rmin + 1e-12 * max(1.0, abs(rmin))
-            # Bland tie-break: smallest basic index
-            leave = min((r for ratio, r in ratios if ratio <= cut), key=basis.__getitem__)
+        if record is not None:
+            record.append((enter, leave, nz, entries))
         _eliminate(t, basis, leave, enter, nz, entries)
     raise ArithmeticError("simplex iteration limit exceeded")
+
+
+# --- phase-1 path memo ----------------------------------------------------------
+
+# Sized from the benchmark workloads: half a MiB keeps all but a few
+# percent of the replays a memo without bounds would make on the reference
+# day, and raises the peak resident memory by about 1.5 MiB
+_MEMO_BYTES = 1 << 19  # the memo's arrays, all tableaux and paths together
+_PATHS_PER_TABLEAU = 16
+_OBJECT_BYTES = 1024   # charged per tableau and per path for the objects around the arrays
+
+
+def _nonzeros(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    flat = mat.reshape(-1)
+    cells = flat.nonzero()[0]
+    return cells, flat[cells]
+
+
+def _holds(mat: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether ``mat`` has exactly the recorded nonzero cells and values (its
+    shape is part of the memo key)."""
+    cells, values = nonzeros
+    # counting a boolean array is faster than counting nonzero floats
+    return (np.count_nonzero(mat != 0.0) == cells.size
+            and np.array_equal(mat.reshape(-1)[cells], values))
+
+
+class _Phase1Path(NamedTuple):
+    """One recorded phase 1 and the constraint rows it leaves to phase 2.
+
+    Pivot ``k`` makes row ``leaves[k]`` basic in column ``enters[k]`` and
+    eliminates rows ``rows[bounds[k]:bounds[k + 1]]``, whose entries in
+    that column were ``entries[bounds[k]:bounds[k + 1]]``.  The first
+    ``ratio_tested`` pivots minimize the artificials, the rest drive
+    artificials out.  Phase 2 keeps the rows whose basic column is a real
+    one; its tableau, without the rhs and the objective row, holds
+    ``values`` at the flat positions ``cells`` and zeros elsewhere.
+    """
+
+    leaves: tuple
+    ratio_tested: int
+    enters: np.ndarray
+    bounds: np.ndarray
+    rows: np.ndarray
+    entries: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def record(cls, pivots: list, ratio_tested: int, t2: np.ndarray) -> "_Phase1Path":
+        cell_rows, cell_cols = t2[:-1, :-1].nonzero()
+        # a tableau of 2**31 cells would take 16 GiB, so int32 indices do
+        return cls(
+            leaves=tuple(leave for _, leave, _, _ in pivots),
+            ratio_tested=ratio_tested,
+            enters=np.array([enter for enter, _, _, _ in pivots], dtype=np.int32),
+            bounds=np.cumsum([0] + [rows.size for _, _, rows, _ in pivots], dtype=np.int32),
+            rows=np.concatenate([rows for _, _, rows, _ in pivots]).astype(np.int32),
+            entries=np.concatenate([entries for _, _, _, entries in pivots]),
+            cells=(cell_rows * t2.shape[1] + cell_cols).astype(np.int32),
+            values=t2[cell_rows, cell_cols],
+        )
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.enters, self.bounds, self.rows, self.entries, self.cells, self.values)
+        return _OBJECT_BYTES + 8 * len(self.leaves) + sum(a.nbytes for a in arrays)
+
+
+class _Tableau(NamedTuple):
+    """What every program of one memo key shares before phase 1.
+
+    The matrices as their nonzero cells and values, for the content check;
+    the rows divided by their seed pivot and those pivots; the crash basis
+    with its artificial columns and the artificial rows, in the order the
+    phase-1 objective row subtracts them; and the recorded phase-1 paths,
+    most recently used first.
+    """
+
+    eq: tuple[np.ndarray, np.ndarray]
+    ub: tuple[np.ndarray, np.ndarray]
+    scaled_rows: np.ndarray
+    seed_pivots: np.ndarray
+    basis: np.ndarray
+    art_rows: np.ndarray
+    paths: list
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (*self.eq, *self.ub, self.scaled_rows, self.seed_pivots, self.basis,
+                  self.art_rows)
+        return (_OBJECT_BYTES + sum(a.nbytes for a in arrays)
+                + sum(path.nbytes for path in self.paths))
+
+
+class _PathMemo:
+    """Recorded phase-1 paths by tableau key, least recently used first,
+    holding at most ``_MEMO_BYTES`` and ``_PATHS_PER_TABLEAU`` paths a key.
+    A lock keeps it whole when programs are solved on several threads."""
+
+    def __init__(self):
+        self.tableaux: OrderedDict[tuple, _Tableau] = OrderedDict()
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self.lock:
+            self.tableaux.clear()
+            self.nbytes = 0
+
+    def find(self, key: tuple, aeq: np.ndarray, aub: np.ndarray) -> _Tableau | None:
+        with self.lock:
+            tableau = self.tableaux.get(key)
+            if tableau is not None:
+                self.tableaux.move_to_end(key)
+        if tableau is None or not (_holds(aeq, tableau.eq) and _holds(aub, tableau.ub)):
+            return None
+        return tableau
+
+    def promote(self, tableau: _Tableau, path: _Phase1Path) -> None:
+        """Make ``path`` the first one ``tableau`` replays, if it still holds it."""
+        with self.lock:
+            paths = tableau.paths
+            at = next((i for i, p in enumerate(paths) if p is path), None)
+            if at is not None:
+                paths.insert(0, paths.pop(at))
+
+    def record(self, key: tuple, tableau: _Tableau, path: _Phase1Path) -> None:
+        """Add ``path`` to ``tableau``, which replaces any other tableau of ``key``."""
+        with self.lock:
+            old = self.tableaux.pop(key, None)
+            if old is not None:
+                self.nbytes -= old.nbytes
+            tableau.paths.insert(0, path)
+            del tableau.paths[_PATHS_PER_TABLEAU:]
+            self.tableaux[key] = tableau
+            self.nbytes += tableau.nbytes
+            while self.nbytes > _MEMO_BYTES:
+                self.nbytes -= self.tableaux.popitem(last=False)[1].nbytes
+
+
+_MEMO = _PathMemo()
+
+
+def _pivot_rhs(rhs: list, rows: list, entries: list, leave: int) -> None:
+    """The rhs column of :func:`_eliminate`, on Python floats."""
+    q = rhs[leave] / entries[rows.index(leave)]
+    for r, e in zip(rows, entries):
+        rhs[r] -= e * q
+    rhs[leave] = q
+
+
+def _replay(tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
+            ncols: int) -> LpSolution | None:
+    """Solve from a recorded phase-1 path of ``tableau`` on the rhs ``b``,
+    or return None when the ratio test leaves every recorded path."""
+    rhs = b.tolist()
+    for r, p in zip(tableau.scaled_rows.tolist(), tableau.seed_pivots.tolist()):
+        rhs[r] /= p
+    objective = 0.0  # the phase-1 objective row's rhs, as its ordered reduction
+    for r in tableau.art_rows.tolist():
+        objective -= rhs[r]
+    rhs.append(objective)
+    basis = tableau.basis.tolist()
+    paths = list(tableau.paths)
+    path = paths[0]
+    enters, bounds = path.enters.tolist(), path.bounds.tolist()
+    rows, entries = path.rows.tolist(), path.entries.tolist()
+    k = 0
+    while k < path.ratio_tested:
+        pivot_rows = rows[bounds[k]:bounds[k + 1]]
+        pivot_entries = entries[bounds[k]:bounds[k + 1]]
+        leave = _leaving_row(pivot_rows, pivot_entries, [rhs[r] for r in pivot_rows], basis)
+        if leave != path.leaves[k]:
+            # a path with the same pivots so far has the same tableau here
+            prefix = path.leaves[:k] + (leave,)
+            path = next((p for p in paths if p.leaves[:k + 1] == prefix), None)
+            if path is None:
+                return None
+            enters, bounds = path.enters.tolist(), path.bounds.tolist()
+            rows, entries = path.rows.tolist(), path.entries.tolist()
+        _pivot_rhs(rhs, pivot_rows, pivot_entries, leave)
+        basis[leave] = enters[k]
+        k += 1
+    if -rhs[-1] > FEAS_TOL:
+        return LpSolution(LpStatus.INFEASIBLE, None, None, k)
+    for k in range(path.ratio_tested, len(path.leaves)):
+        leave = path.leaves[k]
+        _pivot_rhs(rhs, rows[bounds[k]:bounds[k + 1]], entries[bounds[k]:bounds[k + 1]], leave)
+        basis[leave] = enters[k]
+    _MEMO.promote(tableau, path)
+
+    keep = [i for i, j in enumerate(basis) if j < ncols]
+    t2 = np.zeros((len(keep) + 1, ncols + 1))
+    t2.reshape(-1)[path.cells] = path.values
+    t2[:-1, -1] = [rhs[i] for i in keep]
+    return _phase2(t2, np.array([basis[i] for i in keep], dtype=np.intp), c, lo,
+                   len(path.leaves))
+
+
+def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
+            phase1: int) -> LpSolution:
+    """Phase 2 on the kept constraint rows of ``t2``, whose last row becomes
+    the reduced costs of the real objective ``c``."""
+    n = c.size
+    ncols = t2.shape[1] - 1
+    # reduced costs: the cost row (a zero under the rhs) minus each priced
+    # basic row in turn, in one ordered reduction
+    cost = np.zeros(ncols + 1)
+    cost[:n] = c
+    basic_cost = cost[basis2]
+    priced = basic_cost.nonzero()[0]
+    terms = np.empty((priced.size + 1, ncols + 1))
+    terms[0] = cost
+    np.multiply(basic_cost[priced, None], t2[priced], out=terms[1:])
+    t2[-1] = np.subtract.reduce(terms, axis=0)
+
+    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols)
+    if outcome == "unbounded":
+        return LpSolution(LpStatus.UNBOUNDED, None, None, phase1, phase2)
+
+    y = np.zeros(ncols)
+    y[basis2] = t2[:-1, -1]
+    x = y[:n]  # a view; y + lo rounds as lo + y
+    x += lo
+    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), phase1, phase2)
 
 
 def solve_lp(problem: LinearProgram) -> LpSolution:
@@ -241,7 +509,8 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 
     Returns INFEASIBLE / UNBOUNDED statuses instead of raising; malformed
     dimensions raise :class:`LpValidationError` before any arithmetic.
-    Identical inputs produce bitwise-identical outputs.
+    Identical inputs produce bitwise-identical outputs, whether phase 1 is
+    replayed or run.
     """
     issues = validate_lp(problem)
     if issues:
@@ -263,6 +532,24 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     nb = bounded.size
     m = me + mu + nb
     ncols = n + mu + nb
+    b = np.empty(m)
+    if me:
+        np.subtract(beq, aeq @ lo, out=b[:me])
+    if mu:
+        np.subtract(bub, aub @ lo, out=b[me:me + mu])
+    b[me + mu:] = span[bounded]
+    negative = (b < 0).nonzero()[0]
+    if negative.size:
+        b[negative] = -b[negative]
+
+    # the matrices, the bounded variables and the negated rows fix the
+    # tableau up to its rhs column
+    key = (n, aeq.shape, aub.shape, bounded.tobytes(), negative.tobytes())
+    tableau = _MEMO.find(key, aeq, aub)
+    if tableau is not None:
+        solution = _replay(tableau, b, c, lo, ncols)
+        if solution is not None:
+            return solution
 
     # one buffer holds both phases' tableaux, so neither the constraint rows
     # nor the phase-2 rows are copied into a fresh array: m constraint rows
@@ -271,24 +558,17 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     # their number is known
     full = np.zeros((m + 1, ncols + m + 1))
     a = full[:m, :ncols]
-    b = np.empty(m)
     if me:
         a[:me, :n] = aeq
-        np.subtract(beq, aeq @ lo, out=b[:me])
     if mu:
         a[me:me + mu, :n] = aub
-        np.subtract(bub, aub @ lo, out=b[me:me + mu])
     # the slack columns of the <= rows and of the bound rows are one
     # identity block, the diagonal that starts at (me, n)
     width = full.shape[1]
     full.reshape(-1)[me * width + n::width + 1][:mu + nb] = 1.0
     a[np.arange(me + mu, m), bounded] = 1.0
-    b[me + mu:] = span[bounded]
-
-    negative = (b < 0).nonzero()[0]
     if negative.size:
         a[negative] = -a[negative]
-        b[negative] = -b[negative]
 
     # crash basis: any column whose only nonzero entry is positive can seed
     # its row's basis after scaling that row (slack columns are the common
@@ -301,10 +581,10 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     seeded = (basis >= 0).nonzero()[0]
     piv = a[seeded, basis[seeded]]
     scale = piv != 1.0
-    if scale.any():
-        rows, piv = seeded[scale], piv[scale]
-        b[rows] /= piv
-        a[rows, :] /= piv[:, None]
+    scaled, piv = seeded[scale], piv[scale]
+    if scaled.size:
+        b[scaled] /= piv
+        a[scaled, :] /= piv[:, None]
     art_rows = (basis == -1).nonzero()[0]
     nart = art_rows.size
 
@@ -316,17 +596,20 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 
     phase1 = 0
     if nart:
+        crash_basis = basis.copy()
         # phase 1: minimize the sum of artificial variables; the objective
         # row starts as the artificials' costs and subtracts each artificial
         # row in turn, in one ordered reduction
         t[m, ncols:ncols + nart] = 1.0
         t[m] = np.subtract.reduce(t[np.concatenate(([m], art_rows))], axis=0)
-        outcome, phase1 = _pivot_until_optimal(t, basis, ncols + nart)
+        pivots = []
+        outcome, phase1 = _pivot_until_optimal(t, basis, ncols + nart, pivots)
         if outcome == "unbounded":
             # the phase-1 objective is bounded below by zero
             raise ArithmeticError("phase-1 simplex reported an unbounded ray")
         if -t[m, -1] > FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, None, None, phase1)
+        ratio_tested = phase1
         # drive artificials still basic (at zero) out where a real column can
         # replace them; a pivot only changes the basis of its own row
         for i in (basis >= ncols).nonzero()[0]:
@@ -334,7 +617,9 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
             if nz.size:
                 j = int(nz[0])
                 rows = t[:, j].nonzero()[0]
-                _eliminate(t, basis, i, j, rows, t[rows, j])
+                entries = t[rows, j]
+                _eliminate(t, basis, i, j, rows, entries)
+                pivots.append((j, int(i), rows, entries))
                 phase1 += 1
 
     # phase 2 drops the artificial columns, moving the rhs into the first
@@ -347,24 +632,9 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if keep.size < m:
         t2 = t2[np.append(keep, m)]
         basis2 = basis[keep]
-
-    # reduced costs: the cost row (a zero under the rhs) minus each priced
-    # basic row in turn, in one ordered reduction
-    cost = np.zeros(ncols + 1)
-    cost[:n] = c
-    basic_cost = cost[basis2]
-    priced = basic_cost.nonzero()[0]
-    terms = np.empty((priced.size + 1, ncols + 1))
-    terms[0] = cost
-    np.multiply(basic_cost[priced, None], t2[priced], out=terms[1:])
-    t2[-1] = np.subtract.reduce(terms, axis=0)
-
-    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols)
-    if outcome == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None, phase1, phase2)
-
-    y = np.zeros(ncols)
-    y[basis2] = t2[:-1, -1]
-    x = y[:n]  # a view; y + lo rounds as lo + y
-    x += lo
-    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), phase1, phase2)
+    if nart:
+        if tableau is None:
+            tableau = _Tableau(_nonzeros(aeq), _nonzeros(aub), scaled, piv, crash_basis,
+                               art_rows, [])
+        _MEMO.record(key, tableau, _Phase1Path.record(pivots, ratio_tested, t2))
+    return _phase2(t2, basis2, c, lo, phase1)

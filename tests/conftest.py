@@ -1,8 +1,25 @@
 import pytest
 
+from coopgrid import lp
 from coopgrid.scenario import reference_scenario
 
 
 @pytest.fixture(scope="session")
 def ref_scenario():
     return reference_scenario()
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Each phase-1 replay ``solve_lp`` attempts: True when it followed a
+    recorded path to the end, False when it fell back to a full solve."""
+    outcomes = []
+    replay = lp._replay
+
+    def spy(*args):
+        solution = replay(*args)
+        outcomes.append(solution is not None)
+        return solution
+
+    monkeypatch.setattr(lp, "_replay", spy)
+    return outcomes

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from coopgrid import lp
 from coopgrid.scenario import NodeProfile, Scenario
 
 
@@ -49,3 +50,23 @@ def traces_equal(a, b) -> bool:
             if not np.array_equal(getattr(ra, field), getattr(rb, field)):
                 return False
     return True
+
+
+def assert_same_solution(got, want):
+    """Same status, per-phase pivot counts, point bytes and objective bytes."""
+    assert got.status is want.status
+    assert (got.phase1_pivots, got.phase2_pivots) == (want.phase1_pivots, want.phase2_pivots)
+    if want.point is None:
+        assert got.point is None and got.objective_value is None
+    else:
+        # bytes, not values: -0.0 == 0.0, but reports print them differently
+        assert got.point.tobytes() == want.point.tobytes()
+        assert np.float64(got.objective_value).tobytes() == \
+            np.float64(want.objective_value).tobytes()
+
+
+def solve_cold(problem):
+    """``solve_lp`` with no recorded phase-1 path to replay."""
+    lp._MEMO.clear()
+    return lp.solve_lp(problem)
+

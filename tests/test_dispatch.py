@@ -1,8 +1,10 @@
 import dispatch_loop_reference
 import numpy as np
 import pytest
-from helpers import make_node, make_scenario, surplus_deficit_pair
+from helpers import (assert_same_solution, make_node, make_scenario, solve_cold,
+                     surplus_deficit_pair)
 
+from coopgrid import lp
 from coopgrid.dispatch import (build_coalition_lp, build_individual_lp, coalition_value,
                                evaluate_loss_cost, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
@@ -289,3 +291,35 @@ def test_equality_matrix_is_shared_and_read_only(ref_scenario):
     assert sol.coal_buy is sol.coal_sell and not sol.coal_buy.any()
     with pytest.raises(ValueError, match="read-only"):
         sol.coal_buy[0, 0] = 1.0
+
+
+# --- replayed phase 1 against a full solve -------------------------------------------
+
+def _day_and_world_programs(ref_scenario):
+    """Every coalition's program at reference steps 0/8/16 and at each step of
+    a generated 5-node world, horizon 5, storage inside the capacities."""
+    world = generate_synthetic_scenario(17, n_nodes=5, n_steps=8)
+    for scenario, steps in ((ref_scenario, (0, 8, 16)), (world, range(8))):
+        caps = scenario.storage_capacities
+        levels = caps * np.linspace(0.1, 0.9, scenario.n_nodes)
+        for k in steps:
+            hs = slice_horizon(scenario, k, 5)
+            for mask in range(1, 1 << scenario.n_nodes):
+                members = list(coalition_members(mask))
+                yield build_coalition_lp(hs.select(members), levels[members], caps[members])
+
+
+def test_replayed_phase1_matches_cold_solve(ref_scenario, replays):
+    programs = list(_day_and_world_programs(ref_scenario))
+    cold = [solve_cold(prog) for prog in programs]
+    lp._MEMO.clear()
+    replays.clear()
+    for prog, want in zip(programs, cold):
+        assert_same_solution(solve_lp(prog), want)  # after every program before it
+        attempts = len(replays)
+        assert_same_solution(solve_lp(prog), want)  # solved again
+        assert replays[attempts:] in ([], [True])
+    assert len(programs) == 3 * 255 + 8 * 31
+    # most programs replay a path recorded by another one, and some fall back
+    assert replays.count(True) > 1.5 * len(programs)
+    assert False in replays

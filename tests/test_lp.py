@@ -1,9 +1,13 @@
 import dataclasses
+import sys
+import threading
 
 import lp_dense_reference
 import numpy as np
 import pytest
+from helpers import assert_same_solution, solve_cold
 
+from coopgrid import lp
 from coopgrid.dispatch import build_coalition_lp
 from coopgrid.errors import LpValidationError
 from coopgrid.game import coalition_members
@@ -146,18 +150,6 @@ def test_solve_rejects_malformed():
 
 # --- the row-sparse solver against the dense-tableau reference ---------------
 
-def _assert_same_solution(got, want):
-    assert got.status is want.status
-    assert (got.phase1_pivots, got.phase2_pivots) == (want.phase1_pivots, want.phase2_pivots)
-    if want.point is None:
-        assert got.point is None and got.objective_value is None
-    else:
-        # bytes, not values: -0.0 == 0.0, but reports print them differently
-        assert got.point.tobytes() == want.point.tobytes()
-        assert np.float64(got.objective_value).tobytes() == \
-            np.float64(want.objective_value).tobytes()
-
-
 def _degenerate_lp(rng):
     """Small-integer program whose <= rows mostly have rhs 0, so ratio tests
     tie often and Bland's smallest-basic-index tie-break decides the pivot."""
@@ -178,10 +170,10 @@ def test_matches_dense_reference_on_random_programs(seed):
     rng = np.random.default_rng(seed)
     for _ in range(150):
         prog = random_box_lp(rng)
-        _assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
+        assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
     for _ in range(50):
         prog = random_box_lp(rng, max_vars=12, max_eq=5, max_ub=10)
-        _assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
+        assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
 
 
 def test_matches_dense_reference_on_ratio_ties(monkeypatch):
@@ -207,7 +199,7 @@ def test_matches_dense_reference_on_ratio_ties(monkeypatch):
     for _ in range(400):
         prog = _degenerate_lp(rng)
         want = lp_dense_reference.solve_lp(prog)
-        _assert_same_solution(solve_lp(prog), want)
+        assert_same_solution(solve_lp(prog), want)
         statuses.add(want.status)
     assert statuses == set(LpStatus)
     # the tie-break must have picked a row other than the first tied one
@@ -227,7 +219,7 @@ def test_matches_dense_reference_on_reference_step_zero(ref_scenario):
     for prog in _coalition_programs(hs, ref_scenario.storage_init,
                                     ref_scenario.storage_capacities):
         got = solve_lp(prog)
-        _assert_same_solution(got, lp_dense_reference.solve_lp(prog))
+        assert_same_solution(got, lp_dense_reference.solve_lp(prog))
         assert got.status is LpStatus.OPTIMAL
         phase1 += got.phase1_pivots
     assert phase1 > 0
@@ -240,7 +232,7 @@ def test_matches_dense_reference_on_zero_capacity_programs(ref_scenario):
     for prog in _coalition_programs(hs, zero, zero):
         negative_zero_bounds += int(np.signbit(prog.lower).sum())
         got = solve_lp(prog)
-        _assert_same_solution(got, lp_dense_reference.solve_lp(prog))
+        assert_same_solution(got, lp_dense_reference.solve_lp(prog))
         assert got.status is LpStatus.OPTIMAL
     # the storage-delta lower bound -capacity is -0.0
     assert negative_zero_bounds > 0
@@ -254,7 +246,7 @@ def test_matches_dense_reference_on_generated_world_every_step():
     for res in trace.steps:
         hs = slice_horizon(world, res.step, config.horizon)
         for prog in _coalition_programs(hs, storage, world.storage_capacities):
-            _assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
+            assert_same_solution(solve_lp(prog), lp_dense_reference.solve_lp(prog))
         storage = res.storage_after
 
 
@@ -267,7 +259,7 @@ def test_no_constraint_rows(objective, status):
     sol = solve_lp(prog)
     assert sol.status is status
     assert (sol.phase1_pivots, sol.phase2_pivots) == (0, 0)
-    _assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
+    assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
     if status is LpStatus.OPTIMAL:
         assert np.array_equal(sol.point, [1.0, -2.0])
 
@@ -280,7 +272,7 @@ def test_crash_basis_seeds_smaller_singleton_column():
     assert sol.status is LpStatus.OPTIMAL
     assert np.array_equal(sol.point, [3.0, 0.0])
     assert (sol.phase1_pivots, sol.phase2_pivots) == (0, 0)
-    _assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
+    assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
 
 
 def test_crash_basis_skips_negative_singleton_column():
@@ -292,4 +284,149 @@ def test_crash_basis_skips_negative_singleton_column():
     assert sol.status is LpStatus.OPTIMAL
     assert np.array_equal(sol.point, [0.0, 1.0, 4.0])
     assert sol.phase1_pivots == 1
-    _assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
+    assert_same_solution(sol, lp_dense_reference.solve_lp(prog))
+
+
+# --- phase-1 replay --------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [3, 41])
+def test_programs_solved_twice_match_dense_reference(seed, replays):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        for prog in (random_box_lp(rng), _degenerate_lp(rng)):
+            want = lp_dense_reference.solve_lp(prog)
+            assert_same_solution(solve_lp(prog), want)
+            attempts = len(replays)
+            assert_same_solution(solve_lp(prog), want)
+            # a second solve that finds the program's tableau replays its own path
+            assert replays[attempts:] in ([], [True])
+    assert replays.count(True) >= 50
+
+
+def _shared_tableau_lp(eq_rhs, ub_rhs):
+    """Programs with one tableau key: the same matrices, bounds and rhs signs."""
+    return make_program([3.0, -1.0, 0.0, 0.0],
+                        [[2.0, 2.0, 2.0, -1.0], [0.0, 0.0, 2.0, 2.0]], eq_rhs,
+                        [[0.0, 2.0, 1.0, 1.0], [1.0, 2.0, 2.0, 0.0]], ub_rhs,
+                        upper=np.full(4, 3.0))
+
+
+def test_replay_falls_back_where_the_ratio_test_leaves_the_path(replays):
+    first = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
+    second = _shared_tableau_lp([1.0, 2.0], [1.0, 1.0])
+    cold = [solve_cold(first), solve_cold(second)]
+    for prog, want in zip((first, second), cold):
+        assert_same_solution(want, lp_dense_reference.solve_lp(prog))
+    lp._MEMO.clear()
+    replays.clear()
+    assert_same_solution(solve_lp(first), cold[0])
+    assert_same_solution(solve_lp(second), cold[1])
+    assert replays == [False]
+    # the second program followed the first one's path for three pivots
+    (tableau,) = lp._MEMO.tableaux.values()
+    new, old = tableau.paths
+    assert new.leaves[:3] == old.leaves[:3] and new.leaves[3] != old.leaves[3]
+    # with both paths recorded, each program replays its own
+    assert_same_solution(solve_lp(first), cold[0])
+    assert_same_solution(solve_lp(second), cold[1])
+    assert replays == [False, True, True]
+
+
+def test_matrix_changed_in_place_is_not_replayed(replays):
+    prog = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
+    lp._MEMO.clear()
+    before = solve_lp(prog)
+    # same shapes, bounds and rhs signs: only the content tells the tableaux apart
+    prog.eq_matrix[0, 1] = 3.0
+    want = lp_dense_reference.solve_lp(prog)
+    assert want.point.tobytes() != before.point.tobytes()
+    got = solve_lp(prog)
+    assert replays == []
+    assert_same_solution(got, want)
+    assert_same_solution(got, solve_cold(prog))
+
+
+def test_infeasible_program_replays_a_feasible_path(replays):
+    def program(b):
+        # x0 + x1 = b and x0 + x1 <= 1: at b = 1 the ratio test ties, and
+        # Bland's rule makes the <= row leave, as at b = 2, which is infeasible
+        return make_program([1.0, 1.0], [[1.0, 1.0]], [b], [[1.0, 1.0]], [1.0])
+
+    feasible, infeasible = program(1.0), program(2.0)
+    want = lp_dense_reference.solve_lp(infeasible)
+    assert want.status is LpStatus.INFEASIBLE and want.phase1_pivots == 1
+    assert_same_solution(solve_cold(infeasible), want)
+    lp._MEMO.clear()
+    assert_same_solution(solve_lp(feasible), lp_dense_reference.solve_lp(feasible))
+    assert_same_solution(solve_lp(infeasible), want)
+    assert replays == [True]
+
+
+def _on_threads(work, seeds) -> list:
+    """Run ``work(seed)`` on one thread per seed, more threads than cores and
+    switching often; return the exceptions they raised."""
+    failures = []
+
+    def run(seed):
+        try:
+            work(seed)
+        except Exception as exc:  # reported by the calling thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return failures
+
+
+def test_solves_on_threads_match_cold_solves():
+    rng = np.random.default_rng(5)
+    programs = [_degenerate_lp(rng) for _ in range(30)]
+    programs += [_shared_tableau_lp(rng.integers(1, 5, 2).astype(float),
+                                    rng.integers(1, 5, 2).astype(float)) for _ in range(30)]
+    want = [solve_cold(prog) for prog in programs]
+    lp._MEMO.clear()
+
+    def solve_all(seed):
+        for i in np.random.default_rng(seed).permutation(60).tolist() * 3:
+            assert_same_solution(solve_lp(programs[i]), want[i])
+
+    failures = _on_threads(solve_all, range(6))
+    assert not failures, failures[0]
+
+
+def test_memo_stays_whole_under_threads(monkeypatch):
+    # tableaux and paths recorded by real solves, recorded again and again
+    # by threads into one memo small enough to evict all the time
+    rng = np.random.default_rng(5)
+    recorded = []
+    for _ in range(40):
+        prog = _degenerate_lp(rng)
+        solve_cold(prog)
+        recorded += [(key, tableau, np.asarray(prog.eq_matrix, dtype=float),
+                      np.asarray(prog.ub_matrix, dtype=float))
+                     for key, tableau in lp._MEMO.tableaux.items()]
+    monkeypatch.setattr(lp, "_MEMO_BYTES", 30_000)
+    memo = lp._PathMemo()
+
+    def record_all(seed):
+        for i in np.random.default_rng(seed).integers(0, len(recorded), 3000).tolist():
+            key, tableau, aeq, aub = recorded[i]
+            mine = memo.find(key, aeq, aub) or tableau._replace(paths=[])
+            memo.record(key, mine, tableau.paths[0])
+            memo.promote(mine, tableau.paths[0])
+
+    failures = _on_threads(record_all, range(6))
+    assert not failures, failures[0]
+    # a lost update would leave the byte count off the tableaux it counts
+    tableaux = list(memo.tableaux.values())
+    assert tableaux and memo.nbytes == sum(t.nbytes for t in tableaux) <= 30_000
+    assert all(1 <= len(t.paths) <= lp._PATHS_PER_TABLEAU for t in tableaux)

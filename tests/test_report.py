@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 from helpers import make_node, make_scenario
 
 from coopgrid import cli
 from coopgrid.cli import main
+from coopgrid.formation import optimal_structure
+from coopgrid.lp import solve_lp
 from coopgrid.report import summarize_prices, trace_label, write_reports
 from coopgrid.scenario import generate_synthetic_scenario, serialize_scenario
 from coopgrid.sim import SimConfig, SimMode, run
@@ -259,3 +263,27 @@ def test_cli_oracle_check(capsys):
     out = capsys.readouterr().out
     assert "lp solver matches" in out
     assert "shapley" in out
+
+
+def _nan_objective(problem):
+    sol = solve_lp(problem)
+    if sol.objective_value is not None:
+        sol.objective_value = float("nan")
+    return sol
+
+
+# the oracle check's stand-ins that answer NaN
+_NAN_FAKES = {
+    "solve_lp": _nan_objective,
+    "shapley_value": lambda game, members: np.full(len(members), np.nan),
+    "optimal_structure":
+        lambda game: dataclasses.replace(optimal_structure(game), value=float("nan")),
+    "pooled_market_cost": lambda *args: float("nan"),
+}
+
+
+@pytest.mark.parametrize("name", _NAN_FAKES)
+def test_cli_oracle_check_fails_on_nan(monkeypatch, capsys, name):
+    monkeypatch.setattr(cli, name, _NAN_FAKES[name])
+    assert main(["--oracle-check"]) == 3
+    assert "oracle-check FAIL" in capsys.readouterr().out
