@@ -63,8 +63,9 @@ from the stored rows.  The pivots and bits are those of the full solve:
   the signs of zeros, which may differ between the stored rows and the
   full solve's, never reach it.
 
-The memo is bounded: at most ``_PATHS_PER_TABLEAU`` paths a key and
-``_MEMO_BYTES`` of arrays in all, least recently used first out.
+The memo is bounded: at most ``_PATHS_PER_TABLEAU`` paths a key, newest
+first, and ``_MEMO_BYTES`` of arrays in all, least recently used tableau
+first out.  A tableau that would not fit alone is not stored.
 """
 
 import math
@@ -280,12 +281,18 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int,
 
 # --- phase-1 path memo ----------------------------------------------------------
 
-# Sized from the benchmark workloads: half a MiB keeps all but a few
-# percent of the replays a memo without bounds would make on the reference
-# day, and raises the peak resident memory by about 1.5 MiB
-_MEMO_BYTES = 1 << 19  # the memo's arrays, all tableaux and paths together
+# Both bounds are sized from the benchmark workloads (BENCH_13.json,
+# "memo_sizing").  The bytes are those of the memo's arrays, all tableaux and
+# paths together.  The Python objects around them add about a fifth (0.58 MiB
+# on the heap for 0.49 MiB counted, reference day), and a full memo raises
+# the benchmark's peak resident memory by 1.4-1.7 MiB.
+_MEMO_BYTES = 1 << 19
+# Keys with up to 192 distinct phase-1 paths occur.  With one path a key the
+# ratio test leaves it on 20% of the grid-storage-wide programs, 37% of the
+# reference day's and 49% of reform-mixed's; with 16, on 0.8%, 10% and 25%.
+# 32 or 64 move these by under a point either way, as the byte bound then
+# holds fewer keys.
 _PATHS_PER_TABLEAU = 16
-_OBJECT_BYTES = 1024   # charged per tableau and per path for the objects around the arrays
 
 
 def _nonzeros(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,6 +320,7 @@ class _Phase1Path(NamedTuple):
     artificials out.  Phase 2 keeps the rows whose basic column is a real
     one; its tableau, without the rhs and the objective row, holds
     ``values`` at the flat positions ``cells`` and zeros elsewhere.
+    ``nbytes`` counts the bytes of the arrays.
     """
 
     leaves: tuple
@@ -323,26 +331,22 @@ class _Phase1Path(NamedTuple):
     entries: np.ndarray
     cells: np.ndarray
     values: np.ndarray
+    nbytes: int
 
     @classmethod
     def record(cls, pivots: list, ratio_tested: int, t2: np.ndarray) -> "_Phase1Path":
         cell_rows, cell_cols = t2[:-1, :-1].nonzero()
         # a tableau of 2**31 cells would take 16 GiB, so int32 indices do
-        return cls(
-            leaves=tuple(leave for _, leave, _, _ in pivots),
-            ratio_tested=ratio_tested,
-            enters=np.array([enter for enter, _, _, _ in pivots], dtype=np.int32),
-            bounds=np.cumsum([0] + [rows.size for _, _, rows, _ in pivots], dtype=np.int32),
-            rows=np.concatenate([rows for _, _, rows, _ in pivots]).astype(np.int32),
-            entries=np.concatenate([entries for _, _, _, entries in pivots]),
-            cells=(cell_rows * t2.shape[1] + cell_cols).astype(np.int32),
-            values=t2[cell_rows, cell_cols],
+        arrays = (
+            np.array([enter for enter, _, _, _ in pivots], dtype=np.int32),
+            np.cumsum([0] + [rows.size for _, _, rows, _ in pivots], dtype=np.int32),
+            np.concatenate([rows for _, _, rows, _ in pivots]).astype(np.int32),
+            np.concatenate([entries for _, _, _, entries in pivots]),
+            (cell_rows * t2.shape[1] + cell_cols).astype(np.int32),
+            t2[cell_rows, cell_cols],
         )
-
-    @property
-    def nbytes(self) -> int:
-        arrays = (self.enters, self.bounds, self.rows, self.entries, self.cells, self.values)
-        return _OBJECT_BYTES + 8 * len(self.leaves) + sum(a.nbytes for a in arrays)
+        return cls(tuple(leave for _, leave, _, _ in pivots), ratio_tested, *arrays,
+                   sum(a.nbytes for a in arrays))
 
 
 class _Tableau(NamedTuple):
@@ -352,7 +356,8 @@ class _Tableau(NamedTuple):
     the rows divided by their seed pivot and those pivots; the crash basis
     with its artificial columns and the artificial rows, in the order the
     phase-1 objective row subtracts them; and the recorded phase-1 paths,
-    most recently used first.
+    newest first.  ``own_bytes`` counts the bytes of the arrays, those of
+    the paths left out.
     """
 
     eq: tuple[np.ndarray, np.ndarray]
@@ -361,20 +366,26 @@ class _Tableau(NamedTuple):
     seed_pivots: np.ndarray
     basis: np.ndarray
     art_rows: np.ndarray
-    paths: list
+    paths: tuple
+    own_bytes: int
+
+    @classmethod
+    def start(cls, aeq: np.ndarray, aub: np.ndarray, *crash: np.ndarray) -> "_Tableau":
+        """The tableau of ``aeq`` and ``aub`` with its crash arrays (scaled
+        rows, seed pivots, basis, artificial rows) and no paths yet."""
+        eq, ub = _nonzeros(aeq), _nonzeros(aub)
+        return cls(eq, ub, *crash, (), sum(a.nbytes for a in (*eq, *ub, *crash)))
 
     @property
     def nbytes(self) -> int:
-        arrays = (*self.eq, *self.ub, self.scaled_rows, self.seed_pivots, self.basis,
-                  self.art_rows)
-        return (_OBJECT_BYTES + sum(a.nbytes for a in arrays)
-                + sum(path.nbytes for path in self.paths))
+        return self.own_bytes + sum(path.nbytes for path in self.paths)
 
 
 class _PathMemo:
     """Recorded phase-1 paths by tableau key, least recently used first,
     holding at most ``_MEMO_BYTES`` and ``_PATHS_PER_TABLEAU`` paths a key.
-    A lock keeps it whole when programs are solved on several threads."""
+    A stored tableau is never changed, only replaced, and a lock keeps the
+    memo whole when programs are solved on several threads."""
 
     def __init__(self):
         self.tableaux: OrderedDict[tuple, _Tableau] = OrderedDict()
@@ -395,24 +406,19 @@ class _PathMemo:
             return None
         return tableau
 
-    def promote(self, tableau: _Tableau, path: _Phase1Path) -> None:
-        """Make ``path`` the first one ``tableau`` replays, if it still holds it."""
-        with self.lock:
-            paths = tableau.paths
-            at = next((i for i, p in enumerate(paths) if p is path), None)
-            if at is not None:
-                paths.insert(0, paths.pop(at))
-
     def record(self, key: tuple, tableau: _Tableau, path: _Phase1Path) -> None:
-        """Add ``path`` to ``tableau``, which replaces any other tableau of ``key``."""
+        """Store ``tableau`` with ``path`` added as the tableau of ``key``,
+        unless it alone would exceed the memo's bytes."""
+        tableau = tableau._replace(paths=(path, *tableau.paths[:_PATHS_PER_TABLEAU - 1]))
+        nbytes = tableau.nbytes
+        if nbytes > _MEMO_BYTES:
+            return  # storing it would push out every other tableau, then itself
         with self.lock:
             old = self.tableaux.pop(key, None)
             if old is not None:
                 self.nbytes -= old.nbytes
-            tableau.paths.insert(0, path)
-            del tableau.paths[_PATHS_PER_TABLEAU:]
             self.tableaux[key] = tableau
-            self.nbytes += tableau.nbytes
+            self.nbytes += nbytes
             while self.nbytes > _MEMO_BYTES:
                 self.nbytes -= self.tableaux.popitem(last=False)[1].nbytes
 
@@ -440,7 +446,7 @@ def _replay(tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
         objective -= rhs[r]
     rhs.append(objective)
     basis = tableau.basis.tolist()
-    paths = list(tableau.paths)
+    paths = tableau.paths
     path = paths[0]
     enters, bounds = path.enters.tolist(), path.bounds.tolist()
     rows, entries = path.rows.tolist(), path.entries.tolist()
@@ -466,7 +472,6 @@ def _replay(tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
         leave = path.leaves[k]
         _pivot_rhs(rhs, rows[bounds[k]:bounds[k + 1]], entries[bounds[k]:bounds[k + 1]], leave)
         basis[leave] = enters[k]
-    _MEMO.promote(tableau, path)
 
     keep = [i for i, j in enumerate(basis) if j < ncols]
     t2 = np.zeros((len(keep) + 1, ncols + 1))
@@ -634,7 +639,8 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         basis2 = basis[keep]
     if nart:
         if tableau is None:
-            tableau = _Tableau(_nonzeros(aeq), _nonzeros(aub), scaled, piv, crash_basis,
-                               art_rows, [])
-        _MEMO.record(key, tableau, _Phase1Path.record(pivots, ratio_tested, t2))
+            tableau = _Tableau.start(aeq, aub, scaled, piv, crash_basis, art_rows)
+        # a stored tableau fits the memo; a new one that does not is not recorded
+        if tableau.paths or tableau.nbytes <= _MEMO_BYTES:
+            _MEMO.record(key, tableau, _Phase1Path.record(pivots, ratio_tested, t2))
     return _phase2(t2, basis2, c, lo, phase1)

@@ -362,6 +362,34 @@ def test_infeasible_program_replays_a_feasible_path(replays):
     assert replays == [True]
 
 
+def test_tableau_too_big_for_the_memo_is_not_stored(monkeypatch, replays):
+    small = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
+    blocks = np.eye(6)  # six independent copies of the small program
+    big = make_program(np.tile(small.objective, 6), np.kron(blocks, small.eq_matrix),
+                       np.tile(small.eq_rhs, 6), np.kron(blocks, small.ub_matrix),
+                       np.tile(small.ub_rhs, 6), upper=np.full(24, 3.0))
+    want = lp_dense_reference.solve_lp(big)
+    solve_cold(big)
+    (whole,) = lp._MEMO.tableaux.values()
+    small_cold = solve_cold(small)
+    (kept,) = lp._MEMO.tableaux.values()
+    offered = []
+    record = lp._MEMO.record
+    monkeypatch.setattr(lp._MEMO, "record", lambda *args: offered.append(record(*args)))
+    # the big tableau outgrows the memo alone, so its path is not even
+    # recorded, then only with its path
+    for budget in (whole.nbytes - whole.paths[0].nbytes - 1, whole.nbytes - 1):
+        assert kept.nbytes <= budget
+        monkeypatch.setattr(lp, "_MEMO_BYTES", budget)
+        assert_same_solution(solve_lp(big), want)
+        # not stored, and nothing pushed out to make room for it
+        assert [t is kept for t in lp._MEMO.tableaux.values()] == [True]
+        assert lp._MEMO.nbytes == kept.nbytes
+    assert len(offered) == 1
+    assert_same_solution(solve_lp(small), small_cold)
+    assert replays == [True]
+
+
 def _on_threads(work, seeds) -> list:
     """Run ``work(seed)`` on one thread per seed, more threads than cores and
     switching often; return the exceptions they raised."""
@@ -420,9 +448,8 @@ def test_memo_stays_whole_under_threads(monkeypatch):
     def record_all(seed):
         for i in np.random.default_rng(seed).integers(0, len(recorded), 3000).tolist():
             key, tableau, aeq, aub = recorded[i]
-            mine = memo.find(key, aeq, aub) or tableau._replace(paths=[])
+            mine = memo.find(key, aeq, aub) or tableau._replace(paths=())
             memo.record(key, mine, tableau.paths[0])
-            memo.promote(mine, tableau.paths[0])
 
     failures = _on_threads(record_all, range(6))
     assert not failures, failures[0]
