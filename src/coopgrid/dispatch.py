@@ -54,6 +54,8 @@ class DispatchSolution:
     market_cost: float          # grid money only, regularizer stripped
     phase1_pivots: int          # the program's pivots, as LpSolution counts them
     phase2_pivots: int
+    phase1_replayed: int        # those replayed from a recorded path
+    phase2_replayed: int
 
 
 @dataclass(frozen=True)
@@ -201,6 +203,8 @@ def solve_coalition_dispatch(slice_: HorizonSlice, storage_init,
         market_cost=market,
         phase1_pivots=solution.phase1_pivots,
         phase2_pivots=solution.phase2_pivots,
+        phase1_replayed=solution.phase1_replayed,
+        phase2_replayed=solution.phase2_replayed,
     )
 
 

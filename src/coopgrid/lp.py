@@ -38,34 +38,46 @@ The phase-1 objective row and the phase-2 reduced costs are each one
 axis subtracts the rows one at a time, left to right, so it rounds
 exactly as a loop of row subtractions in the same order.
 
-Phase 1 is often replayed rather than run.  Programs with equal
+Pivots are often replayed rather than run.  Programs with equal
 matrices (compared by content), the same bounded variables and the same
 negated rows start from the same tableau except for its rhs column, and
 their phase-1 pivots repeat.  So a solve records its phase-1 path: each
 pivot's entering column, the nonzero rows and entries of that column
 and the leaving row, then the nonzero entries of the constraint rows it
-leaves to phase 2.  A later program with the same key
-replays a recorded path on its rhs alone, in Python floats: at every
-pivot it reruns the ratio test through the same :func:`_leaving_row`
-and updates each eliminated row's rhs as ``rhs[r] - e * (rhs[leave] /
-p)``, the operations :func:`_eliminate` performs on that column.  When
-the ratio test picks a row no recorded path took, the program is solved
-from its untouched initial tableau; after a full replay, phase 2 starts
-from the stored rows.  The pivots and bits are those of the full solve:
+leaves to phase 2.  A later program with the same key replays a
+recorded path on its rhs alone, in Python floats: at every pivot it
+reruns the ratio test through the same :func:`_leaving_row` and updates
+each eliminated row's rhs as ``rhs[r] - e * (rhs[leave] / p)``, the
+operations :func:`_eliminate` performs on that column.  Phase 2 starts
+from the rows a phase-1 path leaves, so its paths hang off that path; a
+phase-2 path also stores each pivot row's nonzero entries.  Following
+one, a program carries its own objective row, updated as ``obj[j] - e *
+prow[j]`` on the pivot row's nonzero cells, and checks Bland's entering
+choice on it at every pivot.  A phase-2 path is recorded the second
+time a phase 2 takes it, re-derived from the stored rows.  Where a
+choice leaves the path followed, a recorded path with the same pivots
+so far is followed instead; where none is, phase 1 is solved from the
+untouched tableau and phase 2 on the rows after the pivots replayed.
+The pivots and bits are those of the full solve:
 
 * an elimination updates each column from that column and the pivot
   column only, so the tableau without its rhs column depends on the
-  pivots taken, not on the rhs;
+  pivots taken, not on the rhs or the objective;
 * phase-1 entering choices read only the rhs-free part of the objective
   row, so equal pivots so far give equal entering columns, equal
-  column entries and an equal set of rows eligible to leave;
-* the rhs column is updated only from nonzero pivot-column entries, so
-  the signs of zeros, which may differ between the stored rows and the
-  full solve's, never reach it.
+  column entries and an equal set of rows eligible to leave; phase-2
+  entering choices read the carried objective row, whose nonzero
+  entries are those of the full update, which changes a cell where the
+  pivot row holds a zero only by subtracting a zero;
+* the rhs column and the objective row are updated only from nonzero
+  entries, so the signs of zeros, which may differ between the stored
+  rows and the full solve's, never reach a choice.
 
-The memo is bounded: at most ``_PATHS_PER_TABLEAU`` paths a key, newest
-first, and ``_MEMO_BYTES`` of arrays in all, least recently used tableau
-first out.  A tableau that would not fit alone is not stored.
+The memo is bounded: at most ``_PATHS_PER_TABLEAU`` phase-1 paths a
+key, ``_PHASE2_PATHS`` phase-2 paths of at most ``_PHASE2_PIVOTS``
+pivots a phase-1 path, and ``_MEMO_BYTES`` of arrays in all, least
+recently used tableau first out.  A tableau that would not fit alone is
+not stored.
 """
 
 import math
@@ -113,6 +125,9 @@ class LpSolution:
     ``phase1_pivots`` counts the pivots that minimize the artificial
     variables plus those that drive zero-valued artificials out of the
     basis; ``phase2_pivots`` counts the pivots on the real objective.
+    ``phase1_replayed`` / ``phase2_replayed`` count those of each phase
+    replayed from a recorded path without tableau updates: all of them or
+    none.
     """
 
     status: LpStatus
@@ -120,6 +135,8 @@ class LpSolution:
     objective_value: float | None
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    phase1_replayed: int = 0
+    phase2_replayed: int = 0
 
 
 def _as_matrix(m, n: int) -> np.ndarray:
@@ -233,34 +250,38 @@ def _eliminate(t: np.ndarray, basis: np.ndarray, row: int, col: int,
 
 def _leaving_row(rows: list, entries: list, rhs: list, basis) -> int:
     """Bland's ratio test on Python floats: of ``rows``, whose entering-column
-    ``entries`` and ``rhs`` values are given, the row with an entry
-    ``> PIVOT_TOL`` and the least ratio, ties within ``1e-12`` (relative)
-    going to the smallest basic index; -1 when no entry passes."""
-    ratios = [(b / e, r) for r, e, b in zip(rows, entries, rhs) if e > PIVOT_TOL]
-    if not ratios:
-        return -1
-    if len(ratios) == 1:  # one pivot in seven in dispatch programs
-        return ratios[0][1]
-    rmin = min(ratio for ratio, _ in ratios)
+    ``entries`` are given, the row with an entry ``> PIVOT_TOL`` and the
+    least ratio to its value in the rhs column ``rhs``, ties within
+    ``1e-12`` (relative) going to the smallest basic index; -1 when no
+    entry passes."""
+    ratios = [(rhs[r] / e, r) for r, e in zip(rows, entries) if e > PIVOT_TOL]
+    if len(ratios) < 2:  # one pivot in seven in dispatch programs has one
+        return ratios[0][1] if ratios else -1
+    rmin = min(ratios)[0]
     cut = rmin + 1e-12 * max(1.0, abs(rmin))
-    return min((r for ratio, r in ratios if ratio <= cut), key=basis.__getitem__)
+    tied = [r for ratio, r in ratios if ratio <= cut]
+    return tied[0] if len(tied) == 1 else min(tied, key=basis.__getitem__)
 
 
-def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int,
-                         record: list | None = None) -> tuple[str, int]:
+def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: list,
+                         entering: list | None = None, pivots_done: int = 0) -> tuple[str, int]:
     """Run Bland-rule pivots until no reduced cost is negative.
 
     ``limit`` is the number of leftmost columns eligible to enter (it
-    excludes the rhs column).  Returns the outcome and the pivot count.
-    Each pivot is appended to ``record``, when given, as
-    ``(enter, leave, rows, entries)``.
+    excludes the rhs column).  Returns the outcome and the pivot count,
+    the ``pivots_done`` before the call included.  Each pivot's entering
+    column and leaving row are appended to ``pairs``, and so is an
+    unbounded column, with -1; the rows nonzero in its entering column and
+    their entries go to ``entering``, when given (not in phase 2: holding
+    every pivot's arrays to the end of the solve slows the reference day's
+    phase 2 by about 6%).
     """
     m = t.shape[0] - 1
     obj = t[m, :limit]
     columns = t.T
     rhs = columns[-1]
     max_iter = 2000 + 200 * (m + limit)
-    for pivots in range(max_iter):
+    for pivots in range(pivots_done, max_iter):
         eligible = obj < -PIVOT_TOL
         enter = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[enter]:
@@ -270,16 +291,17 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int,
         entries = column[nz]
         # the objective row is among the nonzero rows, but its entry is
         # negative, so it never passes the ratio test
-        leave = _leaving_row(nz.tolist(), entries.tolist(), rhs[nz].tolist(), basis)
+        leave = _leaving_row(nz.tolist(), entries.tolist(), rhs.tolist(), basis)
+        pairs.append((enter, leave))
+        if entering is not None:
+            entering.append((nz, entries))
         if leave < 0:
             return "unbounded", pivots
-        if record is not None:
-            record.append((enter, leave, nz, entries))
         _eliminate(t, basis, leave, enter, nz, entries)
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
-# --- phase-1 path memo ----------------------------------------------------------
+# --- pivot path memo ------------------------------------------------------------
 
 # Both bounds are sized from the benchmark workloads (BENCH_13.json,
 # "memo_sizing").  The bytes are those of the memo's arrays, all tableaux and
@@ -291,8 +313,24 @@ _MEMO_BYTES = 1 << 19
 # ratio test leaves it on 20% of the grid-storage-wide programs, 37% of the
 # reference day's and 49% of reform-mixed's; with 16, on 0.8%, 10% and 25%.
 # 32 or 64 move these by under a point either way, as the byte bound then
-# holds fewer keys.
-_PATHS_PER_TABLEAU = 16
+# holds fewer keys.  One grid key has 18 paths: at 16 two of them push each
+# other out on every repetition, and the phase-2 paths on them are recorded
+# again (18 phase-1 and 65 phase-2 recordings a repetition, and a peak
+# resident memory that grows with each); at 20 none are.
+_PATHS_PER_TABLEAU = 20
+# The workloads have 7 / 58 / 25 keys; a tableau is recorded the second time
+# it is seen, so programs that never repeat one do not pay for recording.
+_SEEN_TABLEAUX = 256
+# Phase 2s are sized from the same seed-1 streams (BENCH_14.json,
+# "phase2_sizing").  Grid-storage-wide phase-1 paths carry up to 19 recorded
+# phase 2s; 32 paths and as many sightings a path replay 2,868 of its
+# programs' phase 2s, 16 replay 2,848.
+_PHASE2_PATHS = 32
+# Grid phase 2s take at most 11 pivots.  Longer ones seldom repeat and cost
+# their pivots again to record: on the reference day every length re-derives
+# 11,364 pivots to replay 3,422, and leaves phase 1 less room; at most 16,
+# 245 to replay 290.  On reform-mixed 3,400 to replay 3,023, or 795 to 2,733.
+_PHASE2_PIVOTS = 16
 
 
 def _nonzeros(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,6 +348,57 @@ def _holds(mat: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray]) -> bool:
             and np.array_equal(mat.reshape(-1)[cells], values))
 
 
+def _packed(parts: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``parts`` end to end as one array of ``dtype``, and where each starts
+    (and the last ends).  A tableau of 2**31 cells would take 16 GiB, so
+    int32 indices do."""
+    bounds = np.cumsum([0] + [part.size for part in parts], dtype=np.int32)
+    return bounds, (np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype))
+
+
+class _Phase2Path(NamedTuple):
+    """One recorded phase 2 from the rows a phase-1 path leaves.
+
+    Pivot ``k`` is ``pairs[k]``, its entering column and leaving row; a
+    path that ended on an unbounded column ends with that column and -1.
+    The constraint rows nonzero in the entering column are
+    ``rows[bounds[k]:bounds[k + 1]]``, with ``entries`` in that column, and
+    the pivot row, divided by its pivot, holds ``values[starts[k]:starts[k
+    + 1]]`` at the columns ``cols[...]`` and zeros elsewhere.
+    """
+
+    pairs: tuple
+    bounds: np.ndarray
+    rows: np.ndarray
+    entries: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    nbytes: int
+
+    @classmethod
+    def derive(cls, start: "_Phase1Path", pairs: tuple, shape: tuple) -> "_Phase2Path":
+        """The path ``pairs`` takes from the phase-2 rows of ``start``, whose
+        tableau has ``shape``, re-derived by taking its pivots on those rows
+        without the rhs column, which no other column reads."""
+        t = np.zeros(shape)
+        t.reshape(-1)[start.cells] = start.values
+        t = t[:-1, :-1]
+        basis = np.empty(shape[0] - 1, dtype=np.intp)
+        rows, entries, cols, values = [], [], [], []
+        for enter, leave in pairs:
+            nz = t[:, enter].nonzero()[0]
+            rows.append(nz)
+            entries.append(t[nz, enter])
+            if leave >= 0:
+                _eliminate(t, basis, leave, enter, nz, entries[-1])
+                cols.append(t[leave].nonzero()[0])
+                values.append(t[leave, cols[-1]])
+        arrays = (*_packed(rows, np.int32), np.concatenate(entries),
+                  *_packed(cols, np.int32), _packed(values, float)[1])
+        return cls(pairs, *arrays, sum(a.nbytes for a in arrays))
+
+
 class _Phase1Path(NamedTuple):
     """One recorded phase 1 and the constraint rows it leaves to phase 2.
 
@@ -320,7 +409,10 @@ class _Phase1Path(NamedTuple):
     artificials out.  Phase 2 keeps the rows whose basic column is a real
     one; its tableau, without the rhs and the objective row, holds
     ``values`` at the flat positions ``cells`` and zeros elsewhere.
-    ``nbytes`` counts the bytes of the arrays.
+    ``phase2`` holds the recorded phase-2 paths from those rows, newest
+    first, and ``sightings`` the hashes of the (entering, leaving) pairs
+    of phase 2s taken once and not recorded.  ``own_bytes`` counts the
+    bytes of the arrays, those of the phase-2 paths left out.
     """
 
     leaves: tuple
@@ -331,22 +423,38 @@ class _Phase1Path(NamedTuple):
     entries: np.ndarray
     cells: np.ndarray
     values: np.ndarray
-    nbytes: int
+    own_bytes: int
+    phase2: tuple = ()
+    sightings: tuple = ()
 
     @classmethod
-    def record(cls, pivots: list, ratio_tested: int, t2: np.ndarray) -> "_Phase1Path":
+    def record(cls, pairs: list, columns: list, ratio_tested: int,
+               t2: np.ndarray) -> "_Phase1Path":
         cell_rows, cell_cols = t2[:-1, :-1].nonzero()
-        # a tableau of 2**31 cells would take 16 GiB, so int32 indices do
+        bounds, rows = _packed([rows for rows, _ in columns], np.int32)
         arrays = (
-            np.array([enter for enter, _, _, _ in pivots], dtype=np.int32),
-            np.cumsum([0] + [rows.size for _, _, rows, _ in pivots], dtype=np.int32),
-            np.concatenate([rows for _, _, rows, _ in pivots]).astype(np.int32),
-            np.concatenate([entries for _, _, _, entries in pivots]),
+            np.array([enter for enter, _ in pairs], dtype=np.int32),
+            bounds, rows,
+            np.concatenate([entries for _, entries in columns]),
             (cell_rows * t2.shape[1] + cell_cols).astype(np.int32),
             t2[cell_rows, cell_cols],
         )
-        return cls(tuple(leave for _, leave, _, _ in pivots), ratio_tested, *arrays,
+        return cls(tuple(leave for _, leave in pairs), ratio_tested, *arrays,
                    sum(a.nbytes for a in arrays))
+
+    @property
+    def nbytes(self) -> int:
+        return self.own_bytes + sum(path.nbytes for path in self.phase2)
+
+    def sighted(self, pairs: tuple, shape: tuple) -> "_Phase1Path":
+        """This path, with a phase 2 from its rows that took ``pairs`` noted:
+        recorded the second time, remembered as a sighting the first."""
+        seen = hash(pairs)
+        if seen not in self.sightings:
+            return self._replace(sightings=(seen, *self.sightings[:_PHASE2_PATHS - 1]))
+        return self._replace(
+            phase2=(_Phase2Path.derive(self, pairs, shape), *self.phase2[:_PHASE2_PATHS - 1]),
+            sightings=tuple(s for s in self.sightings if s != seen))
 
 
 class _Tableau(NamedTuple):
@@ -382,20 +490,34 @@ class _Tableau(NamedTuple):
 
 
 class _PathMemo:
-    """Recorded phase-1 paths by tableau key, least recently used first,
-    holding at most ``_MEMO_BYTES`` and ``_PATHS_PER_TABLEAU`` paths a key.
-    A stored tableau is never changed, only replaced, and a lock keeps the
-    memo whole when programs are solved on several threads."""
+    """Recorded pivot paths by tableau key, least recently used first,
+    holding at most ``_MEMO_BYTES`` and ``_PATHS_PER_TABLEAU`` phase-1 paths
+    a key.  A stored tableau is never changed, only replaced, and a lock
+    keeps the memo whole when programs are solved on several threads."""
 
     def __init__(self):
         self.tableaux: OrderedDict[tuple, _Tableau] = OrderedDict()
         self.nbytes = 0
+        self.seen: OrderedDict[int, None] = OrderedDict()
         self.lock = threading.Lock()
 
     def clear(self) -> None:
         with self.lock:
             self.tableaux.clear()
             self.nbytes = 0
+            self.seen.clear()
+
+    def seen_before(self, key: tuple, aeq: np.ndarray, aub: np.ndarray) -> bool:
+        """Whether a tableau of ``key`` with these matrices was seen before
+        among the last ``_SEEN_TABLEAUX``; it is remembered either way."""
+        seen = hash((key, aeq.tobytes(), aub.tobytes()))
+        with self.lock:
+            known = seen in self.seen
+            self.seen[seen] = None
+            self.seen.move_to_end(seen)
+            if len(self.seen) > _SEEN_TABLEAUX:
+                self.seen.popitem(last=False)
+        return known
 
     def find(self, key: tuple, aeq: np.ndarray, aub: np.ndarray) -> _Tableau | None:
         with self.lock:
@@ -407,9 +529,18 @@ class _PathMemo:
         return tableau
 
     def record(self, key: tuple, tableau: _Tableau, path: _Phase1Path) -> None:
-        """Store ``tableau`` with ``path`` added as the tableau of ``key``,
-        unless it alone would exceed the memo's bytes."""
-        tableau = tableau._replace(paths=(path, *tableau.paths[:_PATHS_PER_TABLEAU - 1]))
+        """Store ``tableau`` with ``path`` added as the tableau of ``key``."""
+        self.store(key, tableau._replace(paths=(path, *tableau.paths[:_PATHS_PER_TABLEAU - 1])))
+
+    def replace(self, key: tuple, tableau: _Tableau, old: _Phase1Path,
+                new: _Phase1Path) -> None:
+        """Store ``tableau`` with its path ``old`` replaced by ``new``."""
+        self.store(key, tableau._replace(
+            paths=tuple(new if path is old else path for path in tableau.paths)))
+
+    def store(self, key: tuple, tableau: _Tableau) -> None:
+        """Store ``tableau`` as the tableau of ``key``, unless it alone would
+        exceed the memo's bytes."""
         nbytes = tableau.nbytes
         if nbytes > _MEMO_BYTES:
             return  # storing it would push out every other tableau, then itself
@@ -434,7 +565,7 @@ def _pivot_rhs(rhs: list, rows: list, entries: list, leave: int) -> None:
     rhs[leave] = q
 
 
-def _replay(tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
+def _replay(key: tuple, tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
             ncols: int) -> LpSolution | None:
     """Solve from a recorded phase-1 path of ``tableau`` on the rhs ``b``,
     or return None when the ratio test leaves every recorded path."""
@@ -454,7 +585,7 @@ def _replay(tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
     while k < path.ratio_tested:
         pivot_rows = rows[bounds[k]:bounds[k + 1]]
         pivot_entries = entries[bounds[k]:bounds[k + 1]]
-        leave = _leaving_row(pivot_rows, pivot_entries, [rhs[r] for r in pivot_rows], basis)
+        leave = _leaving_row(pivot_rows, pivot_entries, rhs, basis)
         if leave != path.leaves[k]:
             # a path with the same pivots so far has the same tableau here
             prefix = path.leaves[:k] + (leave,)
@@ -467,7 +598,7 @@ def _replay(tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
         basis[leave] = enters[k]
         k += 1
     if -rhs[-1] > FEAS_TOL:
-        return LpSolution(LpStatus.INFEASIBLE, None, None, k)
+        return LpSolution(LpStatus.INFEASIBLE, None, None, k, phase1_replayed=k)
     for k in range(path.ratio_tested, len(path.leaves)):
         leave = path.leaves[k]
         _pivot_rhs(rhs, rows[bounds[k]:bounds[k + 1]], entries[bounds[k]:bounds[k + 1]], leave)
@@ -477,14 +608,85 @@ def _replay(tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
     t2 = np.zeros((len(keep) + 1, ncols + 1))
     t2.reshape(-1)[path.cells] = path.values
     t2[:-1, -1] = [rhs[i] for i in keep]
-    return _phase2(t2, np.array([basis[i] for i in keep], dtype=np.intp), c, lo,
-                   len(path.leaves))
+    phase1 = len(path.leaves)
+    solution, pairs = _phase2(t2, np.array([basis[i] for i in keep], dtype=np.intp), c, lo,
+                              phase1, phase1, path.phase2)
+    if pairs:
+        _MEMO.replace(key, tableau, path, path.sighted(pairs, t2.shape))
+    return solution
+
+
+def _branch(paths: tuple, prefix: tuple, pivot: tuple):
+    """The newest of the phase-2 ``paths`` that starts with the pivots
+    ``prefix`` and then ``pivot``, an entering column or an entering column
+    and leaving row; None when no path does."""
+    k = len(prefix)
+    return next((p for p in paths if p.pairs[:k] == prefix and len(p.pairs) > k
+                 and p.pairs[k][:len(pivot)] == pivot), None)
+
+
+def _follow(paths: tuple, obj: list, rhs: list, basis: list) -> tuple:
+    """Take phase-2 pivots along the recorded ``paths`` on the objective row
+    ``obj``, ``rhs`` and ``basis`` alone, updating them as a full pivot does.
+
+    Each entering column is Bland's choice on ``obj`` and each leaving row
+    the ratio test's on ``rhs``.  Where either leaves the path followed, a
+    path with the same pivots so far and this choice is followed instead:
+    those pivots fix the tableau, so that path holds this program's rows
+    and entries too.  Returns the outcome ("optimal", "unbounded", or None
+    when the choices leave every path), the pivots taken and a path that
+    holds them.
+    """
+    # the eligible columns change only where a pivot row is nonzero
+    eligible = {j for j, cost in enumerate(obj) if cost < -PIVOT_TOL}
+    path = paths[0]
+    pairs = path.pairs
+    bounds, rows, entries, starts, cols, values = _lists(path)
+    k = 0
+    while eligible:
+        enter = min(eligible)
+        if k == len(pairs) or pairs[k][0] != enter:
+            other = _branch(paths, pairs[:k], (enter,))
+            if other is None:
+                return None, k, path
+            path, pairs = other, other.pairs
+            bounds, rows, entries, starts, cols, values = _lists(path)
+        pivot_rows = rows[bounds[k]:bounds[k + 1]]
+        pivot_entries = entries[bounds[k]:bounds[k + 1]]
+        leave = _leaving_row(pivot_rows, pivot_entries, rhs, basis)
+        if pairs[k][1] != leave:
+            other = _branch(paths, pairs[:k], (enter, leave))
+            if other is None:
+                return None, k, path
+            path, pairs = other, other.pairs
+            bounds, rows, entries, starts, cols, values = _lists(path)
+        if leave < 0:
+            return "unbounded", k, path
+        _pivot_rhs(rhs, pivot_rows, pivot_entries, leave)
+        e = obj[enter]
+        for j, v in zip(cols[starts[k]:starts[k + 1]], values[starts[k]:starts[k + 1]]):
+            cost = obj[j] = obj[j] - e * v
+            if cost < -PIVOT_TOL:
+                eligible.add(j)
+            else:
+                eligible.discard(j)
+        basis[leave] = enter
+        k += 1
+    return "optimal", k, path
+
+
+def _lists(path: _Phase2Path) -> list:
+    return [a.tolist() for a in (path.bounds, path.rows, path.entries, path.starts,
+                                 path.cols, path.values)]
 
 
 def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
-            phase1: int) -> LpSolution:
+            phase1: int, phase1_replayed: int, paths: tuple) -> tuple[LpSolution, tuple]:
     """Phase 2 on the kept constraint rows of ``t2``, whose last row becomes
-    the reduced costs of the real objective ``c``."""
+    the reduced costs of the real objective ``c``, followed along the
+    recorded phase-2 ``paths`` while they hold its pivots.  Returns the
+    solution and the (entering, leaving) pairs of its pivots when some were
+    taken on the tableau's rows, and at most ``_PHASE2_PIVOTS``; else ()."""
     n = c.size
     ncols = t2.shape[1] - 1
     # reduced costs: the cost row (a zero under the rhs) minus each priced
@@ -498,15 +700,40 @@ def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
     np.multiply(basic_cost[priced, None], t2[priced], out=terms[1:])
     t2[-1] = np.subtract.reduce(terms, axis=0)
 
-    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols)
-    if outcome == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None, phase1, phase2)
+    taken = ()
+    if paths:
+        obj, rhs, basis = t2[-1, :ncols].tolist(), t2[:-1, -1].tolist(), basis2.tolist()
+        outcome, phase2, path = _follow(paths, obj, rhs, basis)
+        if outcome is not None:
+            return _solution(outcome, c, lo, ncols, basis, rhs, phase1, phase2,
+                             phase1_replayed, phase2), ()
+        # left every path: its pivots so far, taken on the rows, give the
+        # tableau the full solve has here, and the objective row is carried
+        t2[-1, :ncols] = obj
+        taken = path.pairs[:phase2]
+        for k, (enter, leave) in enumerate(taken):
+            bounds = slice(path.bounds[k], path.bounds[k + 1])
+            _eliminate(t2[:-1], basis2, leave, enter, path.rows[bounds], path.entries[bounds])
+    pairs = list(taken)
+    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols, pairs, None, len(taken))
+    solution = _solution(outcome, c, lo, ncols, basis2, t2[:-1, -1], phase1, phase2,
+                         phase1_replayed, 0)
+    return solution, tuple(pairs) if len(pairs) <= _PHASE2_PIVOTS else ()
 
+
+def _solution(outcome: str, c: np.ndarray, lo: np.ndarray, ncols: int, basis, rhs,
+              *counts: int) -> LpSolution:
+    """The phase-2 ``outcome`` as a solution with the pivot ``counts`` (in
+    :class:`LpSolution`'s order); an optimal point is read off the rhs of
+    the basic rows."""
+    if outcome == "unbounded":
+        return LpSolution(LpStatus.UNBOUNDED, None, None, *counts)
+    n = c.size
     y = np.zeros(ncols)
-    y[basis2] = t2[:-1, -1]
+    y[basis] = rhs
     x = y[:n]  # a view; y + lo rounds as lo + y
     x += lo
-    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), phase1, phase2)
+    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), *counts)
 
 
 def solve_lp(problem: LinearProgram) -> LpSolution:
@@ -552,7 +779,7 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     key = (n, aeq.shape, aub.shape, bounded.tobytes(), negative.tobytes())
     tableau = _MEMO.find(key, aeq, aub)
     if tableau is not None:
-        solution = _replay(tableau, b, c, lo, ncols)
+        solution = _replay(key, tableau, b, c, lo, ncols)
         if solution is not None:
             return solution
 
@@ -600,6 +827,8 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     basis[art_rows] = art_cols
 
     phase1 = 0
+    # a tableau is recorded by the second program that has it
+    recording = nart and (tableau is not None or _MEMO.seen_before(key, aeq, aub))
     if nart:
         crash_basis = basis.copy()
         # phase 1: minimize the sum of artificial variables; the objective
@@ -607,8 +836,8 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         # row in turn, in one ordered reduction
         t[m, ncols:ncols + nart] = 1.0
         t[m] = np.subtract.reduce(t[np.concatenate(([m], art_rows))], axis=0)
-        pivots = []
-        outcome, phase1 = _pivot_until_optimal(t, basis, ncols + nart, pivots)
+        pairs, columns = [], ([] if recording else None)
+        outcome, phase1 = _pivot_until_optimal(t, basis, ncols + nart, pairs, columns)
         if outcome == "unbounded":
             # the phase-1 objective is bounded below by zero
             raise ArithmeticError("phase-1 simplex reported an unbounded ray")
@@ -624,7 +853,9 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
                 rows = t[:, j].nonzero()[0]
                 entries = t[rows, j]
                 _eliminate(t, basis, i, j, rows, entries)
-                pivots.append((j, int(i), rows, entries))
+                pairs.append((j, int(i)))
+                if recording:
+                    columns.append((rows, entries))
                 phase1 += 1
 
     # phase 2 drops the artificial columns, moving the rhs into the first
@@ -637,10 +868,15 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if keep.size < m:
         t2 = t2[np.append(keep, m)]
         basis2 = basis[keep]
-    if nart:
+    path = None
+    if recording:
         if tableau is None:
             tableau = _Tableau.start(aeq, aub, scaled, piv, crash_basis, art_rows)
         # a stored tableau fits the memo; a new one that does not is not recorded
         if tableau.paths or tableau.nbytes <= _MEMO_BYTES:
-            _MEMO.record(key, tableau, _Phase1Path.record(pivots, ratio_tested, t2))
-    return _phase2(t2, basis2, c, lo, phase1)
+            # before phase 2 pivots on t2
+            path = _Phase1Path.record(pairs, columns, ratio_tested, t2)
+    solution, pairs = _phase2(t2, basis2, c, lo, phase1, 0, ())
+    if path is not None:
+        _MEMO.record(key, tableau, path.sighted(pairs, t2.shape) if pairs else path)
+    return solution

@@ -68,8 +68,10 @@ class StepResult:
     step: all of them when the partition was re-formed, every subset of
     every block otherwise (the singletons in the grid modes).  ``payoffs``
     is the Shapley map when the partition was re-formed.  ``lp_programs``
-    is the number of programs solved to price the step, and
-    ``phase1_pivots`` / ``phase2_pivots`` their pivots summed per phase.
+    is the number of programs solved to price the step,
+    ``phase1_pivots`` / ``phase2_pivots`` their pivots summed per phase, and
+    ``phase1_replayed`` / ``phase2_replayed`` how many of those the solver
+    replayed from recorded paths.  The counters are kept in memory only.
     """
 
     step: int
@@ -86,6 +88,8 @@ class StepResult:
     lp_programs: int
     phase1_pivots: int
     phase2_pivots: int
+    phase1_replayed: int
+    phase2_replayed: int
 
 
 @dataclass
@@ -194,6 +198,8 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         lp_programs=len(priced),
         phase1_pivots=sum(sol.phase1_pivots for _, sol in priced.values()),
         phase2_pivots=sum(sol.phase2_pivots for _, sol in priced.values()),
+        phase1_replayed=sum(sol.phase1_replayed for _, sol in priced.values()),
+        phase2_replayed=sum(sol.phase2_replayed for _, sol in priced.values()),
     )
     return result, SystemState(step=k + 1, storage=new_storage)
 

@@ -70,3 +70,10 @@ def solve_cold(problem):
     lp._MEMO.clear()
     return lp.solve_lp(problem)
 
+
+def solve_recorded(problem):
+    """``solve_cold``, then a second solve, which records the phase-1 path:
+    the memo records a tableau the second time it sees it."""
+    solve_cold(problem)
+    return lp.solve_lp(problem)
+

@@ -5,7 +5,7 @@ import threading
 import lp_dense_reference
 import numpy as np
 import pytest
-from helpers import assert_same_solution, solve_cold
+from helpers import assert_same_solution, solve_cold, solve_recorded
 
 from coopgrid import lp
 from coopgrid.dispatch import build_coalition_lp
@@ -295,10 +295,12 @@ def test_programs_solved_twice_match_dense_reference(seed, replays):
     for _ in range(100):
         for prog in (random_box_lp(rng), _degenerate_lp(rng)):
             want = lp_dense_reference.solve_lp(prog)
+            # the first solve sees the program's tableau, the second records it
+            assert_same_solution(solve_lp(prog), want)
             assert_same_solution(solve_lp(prog), want)
             attempts = len(replays)
             assert_same_solution(solve_lp(prog), want)
-            # a second solve that finds the program's tableau replays its own path
+            # a solve that finds the program's tableau replays its own path
             assert replays[attempts:] in ([], [True])
     assert replays.count(True) >= 50
 
@@ -317,9 +319,8 @@ def test_replay_falls_back_where_the_ratio_test_leaves_the_path(replays):
     cold = [solve_cold(first), solve_cold(second)]
     for prog, want in zip((first, second), cold):
         assert_same_solution(want, lp_dense_reference.solve_lp(prog))
-    lp._MEMO.clear()
     replays.clear()
-    assert_same_solution(solve_lp(first), cold[0])
+    assert_same_solution(solve_recorded(first), cold[0])
     assert_same_solution(solve_lp(second), cold[1])
     assert replays == [False]
     # the second program followed the first one's path for three pivots
@@ -356,8 +357,7 @@ def test_infeasible_program_replays_a_feasible_path(replays):
     want = lp_dense_reference.solve_lp(infeasible)
     assert want.status is LpStatus.INFEASIBLE and want.phase1_pivots == 1
     assert_same_solution(solve_cold(infeasible), want)
-    lp._MEMO.clear()
-    assert_same_solution(solve_lp(feasible), lp_dense_reference.solve_lp(feasible))
+    assert_same_solution(solve_recorded(feasible), lp_dense_reference.solve_lp(feasible))
     assert_same_solution(solve_lp(infeasible), want)
     assert replays == [True]
 
@@ -369,16 +369,19 @@ def test_tableau_too_big_for_the_memo_is_not_stored(monkeypatch, replays):
                        np.tile(small.eq_rhs, 6), np.kron(blocks, small.ub_matrix),
                        np.tile(small.ub_rhs, 6), upper=np.full(24, 3.0))
     want = lp_dense_reference.solve_lp(big)
-    solve_cold(big)
+    solve_recorded(big)
     (whole,) = lp._MEMO.tableaux.values()
-    small_cold = solve_cold(small)
+    small_cold = solve_recorded(small)
     (kept,) = lp._MEMO.tableaux.values()
     offered = []
     record = lp._MEMO.record
     monkeypatch.setattr(lp._MEMO, "record", lambda *args: offered.append(record(*args)))
+    budgets = (whole.nbytes - whole.paths[0].nbytes - 1, whole.nbytes - 1)
+    monkeypatch.setattr(lp, "_MEMO_BYTES", budgets[0])
+    assert_same_solution(solve_lp(big), want)  # seen, so from now on it would be recorded
     # the big tableau outgrows the memo alone, so its path is not even
     # recorded, then only with its path
-    for budget in (whole.nbytes - whole.paths[0].nbytes - 1, whole.nbytes - 1):
+    for budget in budgets:
         assert kept.nbytes <= budget
         monkeypatch.setattr(lp, "_MEMO_BYTES", budget)
         assert_same_solution(solve_lp(big), want)
@@ -438,18 +441,34 @@ def test_memo_stays_whole_under_threads(monkeypatch):
     recorded = []
     for _ in range(40):
         prog = _degenerate_lp(rng)
-        solve_cold(prog)
+        solve_recorded(prog)
         recorded += [(key, tableau, np.asarray(prog.eq_matrix, dtype=float),
                       np.asarray(prog.ub_matrix, dtype=float))
                      for key, tableau in lp._MEMO.tableaux.items()]
+    # and a phase-1 path carrying three recorded phase-2 paths
+    lp._MEMO.clear()
+    for costs in ([-2.0, -2.0, 0.0, 0.0, -2.0, -1.0], [-2.0, 1.0, -2.0, 2.0, 2.0, -2.0],
+                  [-2.0, -1.0, -1.0, 2.0, -2.0, -2.0]):
+        prog = _one_start_lp(costs)
+        for _ in range(3):
+            solve_lp(prog)
+    ((key, tableau),) = lp._MEMO.tableaux.items()
+    assert recorded and len(tableau.paths[0].phase2) == 3
+    recorded += [(key, tableau, np.asarray(prog.eq_matrix), np.asarray(prog.ub_matrix))] * 10
     monkeypatch.setattr(lp, "_MEMO_BYTES", 30_000)
     memo = lp._PathMemo()
 
     def record_all(seed):
-        for i in np.random.default_rng(seed).integers(0, len(recorded), 3000).tolist():
+        rng = np.random.default_rng(seed)
+        for i in rng.integers(0, len(recorded), 3000).tolist():
             key, tableau, aeq, aub = recorded[i]
             mine = memo.find(key, aeq, aub) or tableau._replace(paths=())
-            memo.record(key, mine, tableau.paths[0])
+            if mine.paths and rng.random() < 0.5:
+                # phase-2 paths put on a stored phase-1 path, as a replay does
+                old = mine.paths[0]
+                memo.replace(key, mine, old, old._replace(phase2=tableau.paths[0].phase2))
+            else:
+                memo.record(key, mine, tableau.paths[0])
 
     failures = _on_threads(record_all, range(6))
     assert not failures, failures[0]
@@ -457,3 +476,112 @@ def test_memo_stays_whole_under_threads(monkeypatch):
     tableaux = list(memo.tableaux.values())
     assert tableaux and memo.nbytes == sum(t.nbytes for t in tableaux) <= 30_000
     assert all(1 <= len(t.paths) <= lp._PATHS_PER_TABLEAU for t in tableaux)
+    assert any(path.phase2 for t in tableaux for path in t.paths)
+
+
+# --- phase-2 replay --------------------------------------------------------------
+
+def _one_start_lp(objective, eq_rhs=(1.0, 2.0), ub_rhs=(3.0, 5.0, 4.0)):
+    """Programs with one tableau key whose phase 1 takes one path at these
+    rhs, so that their phase 2s start from the same rows."""
+    return make_program(objective, [[-1.0, 1.0, -1.0, 0.0, 2.0, -1.0],
+                                    [1.0, 0.0, 0.0, 2.0, -1.0, 2.0]], list(eq_rhs),
+                        [[2.0, 0.0, 2.0, 0.0, 0.0, 0.0], [2.0, 2.0, 0.0, 1.0, 1.0, 0.0],
+                         [1.0, 2.0, 0.0, 2.0, 0.0, 0.0]], list(ub_rhs),
+                        upper=[np.inf, 4.0, np.inf, np.inf, 4.0, 4.0])
+
+
+def _solved(*programs) -> list:
+    """``solve_lp`` of each program in turn, each checked against the dense reference."""
+    solutions = []
+    for prog in programs:
+        solutions.append(solve_lp(prog))
+        assert_same_solution(solutions[-1], lp_dense_reference.solve_lp(prog))
+    return solutions
+
+
+def _seen(prog) -> None:
+    """Leave an empty memo that has seen the tableau of ``prog``, so that the
+    next program with that tableau records its phase-1 path."""
+    solve_cold(prog)
+
+
+def _phase2_replayed(solutions) -> list:
+    return [sol.phase2_replayed for sol in solutions]
+
+
+def _phase2_paths():
+    (tableau,) = lp._MEMO.tableaux.values()
+    (start,) = tableau.paths
+    return start.phase2
+
+
+def test_phase2_path_recorded_the_second_time_is_replayed_the_third():
+    prog = _one_start_lp([-2.0, -1.0, -1.0, 2.0, -2.0, -2.0])
+    _seen(prog)
+    solutions = _solved(prog, prog, prog)
+    assert [sol.phase2_pivots for sol in solutions] == [8, 8, 8]
+    # phase 1 is recorded by the first solve after the tableau was seen,
+    # phase 2 by the second
+    assert [sol.phase1_replayed for sol in solutions] == [0, 4, 4]
+    assert _phase2_replayed(solutions) == [0, 0, 8]
+
+
+def test_phase2_replay_switches_paths_where_the_entering_column_differs():
+    first = _one_start_lp([-2.0, -2.0, 0.0, 0.0, -2.0, -1.0])
+    second = _one_start_lp([-2.0, 1.0, -2.0, 2.0, 2.0, -2.0])
+    _seen(first)
+    _solved(first, first)
+    # the second program follows the first one's path for five pivots, then
+    # enters another column, so it is solved on the tableau and recorded
+    assert _phase2_replayed(_solved(second, second)) == [0, 0]
+    new, old = _phase2_paths()
+    assert new.pairs[:5] == old.pairs[:5] and new.pairs[5][0] != old.pairs[5][0]
+    # each program replays its own path, switching at pivot 5 where it differs
+    assert _phase2_replayed(_solved(first, second, first)) == [6, 6, 6]
+
+
+def test_phase2_replay_switches_paths_where_the_leaving_row_differs():
+    costs = [-2.0, -1.0, -1.0, 2.0, -2.0, -2.0]
+    first, second = _one_start_lp(costs), _one_start_lp(costs, (1.0, 1.0), (2.0, 4.0, 3.0))
+    _seen(first)
+    _solved(first, first, second, second)
+    new, old = _phase2_paths()
+    assert new.pairs[:2] == old.pairs[:2]
+    assert new.pairs[2][0] == old.pairs[2][0] and new.pairs[2][1] != old.pairs[2][1]
+    assert _phase2_replayed(_solved(first, second, first)) == [8, 5, 8]
+
+
+def test_phase2_replay_stops_where_the_program_is_optimal():
+    short = _one_start_lp([-2.0, -2.0, -2.0, -2.0, -2.0, -2.0])
+    long = _one_start_lp([-2.0, -1.0, -1.0, 1.0, -2.0, -2.0])
+    _seen(long)
+    _solved(long, long)
+    (path,) = _phase2_paths()
+    assert len(path.pairs) == 7
+    # optimal after the first four pivots of the recorded path
+    assert _phase2_replayed(_solved(short)) == [4]
+
+
+def test_phase2_replay_past_the_end_of_its_path_is_solved_on_the_tableau():
+    short = _one_start_lp([-2.0, -2.0, -2.0, -2.0, -2.0, -2.0])
+    long = _one_start_lp([-2.0, -1.0, -1.0, 1.0, -2.0, -2.0])
+    _seen(short)
+    _solved(short, short)
+    # the recorded four pivots are the long program's first four; a reduced
+    # cost is still negative after them, so it takes three more on the tableau
+    (solution,) = _solved(long)
+    assert (solution.phase2_pivots, solution.phase2_replayed) == (7, 0)
+    assert _phase2_replayed(_solved(long, long)) == [0, 7]
+
+
+def test_phase2_replay_of_an_unbounded_program():
+    prog = make_program([-1.0, 1.0, -1.0, -1.0],
+                        [[-1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, -1.0]], [2.0, 3.0],
+                        [[0.0, -1.0, 2.0, 1.0]], [4.0])
+    _seen(prog)
+    solutions = _solved(prog, prog, prog)
+    assert all(sol.status is LpStatus.UNBOUNDED for sol in solutions)
+    (path,) = _phase2_paths()
+    assert len(path.pairs) == 4 and path.pairs[-1][1] == -1
+    assert _phase2_replayed(solutions) == [0, 0, 3]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import make_node, make_scenario, surplus_deficit_pair, traces_equal
 
-from coopgrid import dispatch, sim
+from coopgrid import dispatch, lp, sim
 from coopgrid.dispatch import mean_pairwise_distance
 from coopgrid.errors import DispatchError
 from coopgrid.game import PRICE_ENERGY_FLOOR
@@ -237,6 +237,20 @@ def test_deterministic_runs_are_bitwise_equal():
     scenario = generate_synthetic_scenario(17, n_nodes=4, n_steps=6)
     cfg = SimConfig(mode=SimMode.COALITIONAL, loss_weight=1e-4, horizon=4)
     assert traces_equal(run(scenario, cfg), run(scenario, cfg))
+
+
+def test_replayed_pivot_counts_repeat_from_an_empty_memo():
+    scenario = generate_synthetic_scenario(12, n_nodes=4, n_steps=6)
+    config = SimConfig(mode=SimMode.COALITIONAL, horizon=3, reform_period=2)
+    counts = []
+    for _ in range(2):
+        lp._MEMO.clear()
+        counts.append([(res.phase1_pivots, res.phase1_replayed, res.phase2_pivots,
+                        res.phase2_replayed) for res in run(scenario, config).steps])
+    assert counts[0] == counts[1]
+    assert all(r1 <= p1 and r2 <= p2 for p1, r1, p2, r2 in counts[0])
+    # the runs replay pivots of both phases
+    assert sum(r1 for _, r1, _, _ in counts[0]) and sum(r2 for _, _, _, r2 in counts[0])
 
 
 def test_average_prices_reconstruct_charges():
