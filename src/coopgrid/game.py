@@ -44,12 +44,10 @@ def coalition_mask(members) -> int:
 def coalition_members(mask: int) -> tuple[int, ...]:
     """Sorted agent ids present in a mask."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask  # the lowest set bit
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -154,13 +154,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         tag = f"node {nd.node_id}"
         series = {"demand_kwh": nd.demand, "generation_kwh": nd.generation,
                   "buy_price": nd.buy_price, "sell_price": nd.sell_price}
+        n_issues = len(issues)
         for name, arr in series.items():
             if arr.shape != (n_steps,):
                 issues.append(f"{tag}: {name} must be a flat list of {n_steps} numbers, "
                               f"got shape {arr.shape}")
-            if arr.size and not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 issues.append(f"{tag}: {name} contains non-finite values")
-        if any(v.shape != (n_steps,) or not np.all(np.isfinite(v)) for v in series.values()):
+        if len(issues) > n_issues:
             continue  # per-step checks below assume aligned finite series
         aligned.append(nd)
         for t in np.flatnonzero(nd.demand < 0):
@@ -314,6 +315,12 @@ def generate_synthetic_scenario(seed: int, n_nodes: int = 8, n_steps: int = 17) 
     rng = np.random.default_rng(seed)
     hours = (7.0 + np.arange(n_steps)) % 24.0
     row_len = math.ceil(n_nodes / 2)
+    # the profile shapes depend on the hours alone, so every node shares them;
+    # each node's series applies its draws to them in the same operations
+    morning_peak = _bump(hours, 8.0, 1.5)
+    evening_peak = _bump(hours, 20.0, 2.2)
+    midday_sun = _bump(hours, 13.5, 2.5)
+    tariff_shape = 0.066 + 0.016 * _bump(hours, 9.0, 2.0) + 0.024 * evening_peak
 
     nodes = []
     for i in range(n_nodes):
@@ -324,17 +331,15 @@ def generate_synthetic_scenario(seed: int, n_nodes: int = 8, n_steps: int = 17) 
         morning = rng.uniform(0.7, 1.1)
         evening = rng.uniform(1.1, 1.7)
         d_noise = rng.uniform(0.92, 1.08, n_steps)
-        demand = d_scale * (0.35 + morning * _bump(hours, 8.0, 1.5)
-                            + evening * _bump(hours, 20.0, 2.2)) * d_noise
+        demand = d_scale * (0.35 + morning * morning_peak + evening * evening_peak) * d_noise
 
         # peak output kept below daily demand so every node stays a net buyer
         g_max = rng.uniform(0.6, 1.7)
         g_noise = rng.uniform(0.9, 1.1, n_steps)
-        generation = g_max * _bump(hours, 13.5, 2.5) * g_noise
+        generation = g_max * midday_sun * g_noise
 
         tariff_scale = rng.uniform(0.94, 1.06)
-        buy = tariff_scale * (0.066 + 0.016 * _bump(hours, 9.0, 2.0)
-                              + 0.024 * _bump(hours, 20.0, 2.2))
+        buy = tariff_scale * tariff_shape
         gamma = rng.uniform(0.55, 0.68)
         sell = gamma * buy
 

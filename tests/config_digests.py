@@ -4,12 +4,15 @@ Each digest covers every LP the run solves (status, point and objective
 bytes, per-phase pivot counts), every ``StepResult`` field a report or a
 caller reads (replay counters excepted: they describe how a solve was
 done, not its result), ``report.summarize_prices`` and the report file
-digests.  The configurations are the 355 used to check the solver's
-bitwise neutrality: the reference day coalitional at rho 5e-3 / 5e-4 /
-1e-4 / 1e-5, grid-only and grid-storage; the 64-node 48-step
-``grid-storage-wide`` world; the 48 ``reform-mixed`` worlds of seeds 1 and
-2; and 300 generated 4-node 8-step worlds (seeds 1000-1019 x rho 0 / 1e-5 /
-1e-4 / 5e-4 / 5e-3 x reform periods 1-3, horizon 2 + seed % 4).
+digests.  Before the runs, one line per generated world carries a
+SHA-256 of what the generator made (``helpers.world_digest``: every
+series' bytes, positions and storage limits).  The configurations are
+the 355 used to check the solver's bitwise neutrality: the reference
+day coalitional at rho 5e-3 / 5e-4 / 1e-4 / 1e-5, grid-only and
+grid-storage; the 64-node 48-step ``grid-storage-wide`` world; the 48
+``reform-mixed`` worlds of seeds 1 and 2; and 300 generated 4-node 8-step
+worlds (seeds 1000-1019 x rho 0 / 1e-5 / 1e-4 / 5e-4 / 5e-3 x reform
+periods 1-3, horizon 2 + seed % 4).
 
 Every configuration is run twice in one process: a cold pass that starts
 with an empty phase-1/phase-2 path memo, then a warm pass that finds the
@@ -30,6 +33,8 @@ import tempfile
 
 import numpy as np
 
+from helpers import world_digest
+
 from coopgrid import dispatch
 from coopgrid.report import summarize_prices, write_reports
 from coopgrid.scenario import generate_synthetic_scenario, reference_scenario
@@ -40,26 +45,28 @@ STEP_FIELDS = ("step", "grid_buy", "grid_sell", "coal_buy", "coal_sell", "storag
 
 
 def configurations(generated_only: bool):
-    """``(label, scenario factory, SimConfig)`` for every configuration."""
+    """``(label, world, SimConfig)`` for every configuration; ``world`` is the
+    ``(seed, nodes, steps)`` of a generated world, or None for the reference."""
     coalitional = SimMode.COALITIONAL
     if not generated_only:
         for rho in (5e-3, 5e-4, 1e-4, 1e-5):
-            yield f"reference rho={rho}", reference_scenario, SimConfig(coalitional, loss_weight=rho)
+            yield f"reference rho={rho}", None, SimConfig(coalitional, loss_weight=rho)
         for mode in (SimMode.GRID_ONLY, SimMode.GRID_STORAGE):
-            yield f"reference {mode.value}", reference_scenario, SimConfig(mode)
-        yield ("grid-storage-wide seed1", lambda: generate_synthetic_scenario(1, 64, 48),
-               SimConfig(SimMode.GRID_STORAGE))
+            yield f"reference {mode.value}", None, SimConfig(mode)
+        yield "grid-storage-wide seed1", (1, 64, 48), SimConfig(SimMode.GRID_STORAGE)
         for world in [*range(24, 48), *range(48, 72)]:  # reform-mixed, seeds 1 and 2
-            yield (f"reform-mixed world{world}",
-                   lambda world=world: generate_synthetic_scenario(world, 6, 6),
+            yield (f"reform-mixed world{world}", (world, 6, 6),
                    SimConfig(coalitional, loss_weight=2e-3, reform_period=3))
     for seed in range(1000, 1020):
         for rho in (0.0, 1e-5, 1e-4, 5e-4, 5e-3):
             for period in (1, 2, 3):
-                yield (f"generated seed{seed} rho={rho} reform={period}",
-                       lambda seed=seed: generate_synthetic_scenario(seed, 4, 8),
+                yield (f"generated seed{seed} rho={rho} reform={period}", (seed, 4, 8),
                        SimConfig(coalitional, horizon=2 + seed % 4, loss_weight=rho,
                                  reform_period=period))
+
+
+def scenario_of(world):
+    return reference_scenario() if world is None else generate_synthetic_scenario(*world)
 
 
 def _floats(h, values) -> None:
@@ -109,11 +116,14 @@ def main(argv=None) -> int:
                         help="exit 1 unless every warm digest equals its cold one")
     args = parser.parse_args(argv)
     configs = list(configurations(args.generated_only))
+    for world in dict.fromkeys(world for _, world, _ in configs if world is not None):
+        print("world", world_digest(scenario_of(world)),
+              "seed{} nodes={} steps={}".format(*world), flush=True)
     passes = {}
     for name in ("cold", "warm"):
         passes[name] = []
-        for label, scenario, config in configs:
-            passes[name].append(digest(scenario(), config))
+        for label, world, config in configs:
+            passes[name].append(digest(scenario_of(world), config))
             print(name, passes[name][-1], label, flush=True)
     differ = [label for (label, _, _), cold, warm in zip(configs, passes["cold"], passes["warm"])
               if cold != warm]

@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import hashlib
+
 import numpy as np
 
 from coopgrid import lp
@@ -24,6 +26,19 @@ def make_node(node_id, demand, generation, buy, sell, cap=0.0, s0=0.0,
 
 def make_scenario(nodes, step_hours=1.0, start_hour=7.0):
     return Scenario(nodes=list(nodes), step_hours=step_hours, start_hour=start_hour)
+
+
+def world_digest(scenario) -> str:
+    """SHA-256 over a scenario's bytes: step length, start hour, and each
+    node's id, position, storage limits and the bytes of its four series."""
+    h = hashlib.sha256(np.array([scenario.step_hours, scenario.start_hour]).tobytes())
+    for nd in scenario.nodes:
+        h.update(np.array([nd.node_id, *nd.position, nd.storage_capacity,
+                           nd.storage_init], dtype=float).tobytes())
+        for arr in (nd.demand, nd.generation, nd.buy_price, nd.sell_price):
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def surplus_deficit_pair(steps=1):

@@ -16,6 +16,19 @@ def test_mask_round_trip():
     assert coalition_members(0) == ()
 
 
+def test_members_match_a_bit_by_bit_walk():
+    def bit_by_bit(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    rng = np.random.default_rng(5)
+    masks = [0, 1, 1 << 62, 1 << 63, 1 << 64, (1 << 64) - 1, (1 << 63) | 1, 0b101001]
+    masks += [int(m) for m in rng.integers(0, 1 << 63, 200, dtype=np.int64)]
+    masks += [int(m) << 1 | 1 for m in rng.integers(0, 1 << 63, 200, dtype=np.int64)]
+    for mask in masks:
+        assert coalition_members(mask) == bit_by_bit(mask)
+        assert coalition_mask(coalition_members(mask)) == mask
+
+
 def test_single_agent_sweep():
     sc = generate_synthetic_scenario(2, n_nodes=1, n_steps=6)
     cf = characteristic_function(np.zeros(1), sc, slice_horizon(sc, 0, 5), 1e-4)

@@ -1,8 +1,10 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
-from helpers import make_node, make_scenario
+from helpers import make_node, make_scenario, world_digest
 
 from coopgrid.errors import ScenarioError
 from coopgrid.scenario import (MIN_PRICE_MARGIN, generate_synthetic_scenario,
@@ -169,6 +171,39 @@ def test_generator_deterministic_in_seed():
     assert a == b
     c = generate_synthetic_scenario(2, 8, 17)
     assert not np.array_equal(a.nodes[0].demand, c.nodes[0].demand)
+
+
+# world_digest of the benchmark's generated worlds: grid-storage-wide at
+# seeds 1 and 2, and the 48 reform-mixed worlds of seeds 1 and 2 in one
+# SHA-256 over their digests; any change to a draw or an operation moves them
+PINNED_WORLDS = {
+    (1, 64, 48): "c9f9d866ab01652a6b4a86a10a4bace634e7d703e00ea8c809f48c89347458cb",
+    (2, 64, 48): "32a43488ff596131325797ec6d50ef22a746cb1b4553477fb922acf771937f5d",
+}
+PINNED_REFORM_WORLDS = "82b5409c35efe2cfbe806fb3a30250666b681d685a0735d06c5a3203202129d8"
+
+
+def test_generated_benchmark_worlds_are_pinned():
+    for (seed, nodes, steps), want in PINNED_WORLDS.items():
+        assert world_digest(generate_synthetic_scenario(seed, nodes, steps)) == want
+    h = hashlib.sha256()
+    for seed in range(24, 72):
+        h.update(world_digest(generate_synthetic_scenario(seed, 6, 6)).encode())
+    assert h.hexdigest() == PINNED_REFORM_WORLDS
+
+
+def test_misaligned_node_skips_its_per_step_checks():
+    # node 1 has a short series and a NaN; its negative demand and its
+    # storage above capacity are not reported, node 2's negative output is
+    good = make_node(0, [1.0, 1.0, 1.0], [0.0, 0.5, 0.0], [0.1] * 3, [0.05] * 3)
+    bad = make_node(1, [-1.0, 1.0, 1.0], [0.0, 0.5], [0.1, math.nan, 0.1], [0.05] * 3,
+                    cap=1.0, s0=2.0)
+    negative = make_node(2, [1.0, 1.0, 1.0], [0.0, 0.5, -0.5], [0.1] * 3, [0.05] * 3)
+    assert validate_scenario(make_scenario([good, bad, negative])) == [
+        "node 1: generation_kwh must be a flat list of 3 numbers, got shape (2,)",
+        "node 1: buy_price contains non-finite values",
+        "node 2: generation_kwh[2] = -0.5 is negative (step 2)",
+    ]
 
 
 def test_generator_margin_and_validity():
