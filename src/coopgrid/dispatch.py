@@ -229,6 +229,14 @@ def mean_pairwise_distance(positions) -> float:
     return total / (n * (n - 1) / 2)
 
 
+@functools.lru_cache(maxsize=1024)  # the reference day has 247 sets of two or more
+def _mean_distance(positions: tuple) -> float:
+    """:func:`mean_pairwise_distance` of ``positions``, a tuple of (x, y)
+    tuples, computed once per set of positions: a run asks for each
+    coalition's again at every step, and positions never change."""
+    return mean_pairwise_distance(positions)
+
+
 def evaluate_loss_cost(solution: DispatchSolution, mean_distance: float,
                        loss_weight: float) -> float:
     """Transfer-loss cost: weight * distance * sum over members and steps of
@@ -255,7 +263,7 @@ def coalition_value(members, storage_levels, scenario: Scenario, slice_: Horizon
         sol = solve_individual_dispatch(hs, float(storage[members[0]]), float(caps[0]))
         return CoalitionValueBreakdown(sol.market_cost, 0.0, sol.market_cost, 0.0), sol
     sol = solve_coalition_dispatch(hs, storage[list(members)], caps)
-    r_hat = mean_pairwise_distance([nd.position for nd in nodes])
+    r_hat = _mean_distance(tuple(tuple(nd.position) for nd in nodes))
     loss = evaluate_loss_cost(sol, r_hat, loss_weight)
     breakdown = CoalitionValueBreakdown(
         market_cost=sol.market_cost,

@@ -6,86 +6,69 @@ subject to ``A_eq @ x == b_eq``, ``A_ub @ x <= b_ub`` and box bounds
 be finite.
 
 The solver is a two-phase primal simplex on a dense tableau with Bland's
-smallest-index pivoting rule.  Bland's rule needs more pivots than the
-usual heuristics, but it cannot cycle and it makes every solve bitwise
-reproducible, which the simulation layer relies on.  Each pivot scans the
-entering column once and eliminates only the rows where that column is
-nonzero (about a tenth of them in the dispatch programs).  A full-tableau
-update would only subtract ±0 from the rows it skips, which leaves every
-nonzero entry as it is, so pivot choices, points and objectives are those
-of the full update.
+smallest-index pivoting rule, which cannot cycle and makes every solve
+bitwise reproducible, as the simulation layer needs.  Each pivot
+eliminates only the rows where the entering column is nonzero (a tenth
+of them in the dispatch programs); a full update only subtracts ±0 from
+the others.  A pivot leaves its column an exact
+unit vector without rewriting it: ``p / p`` is 1.0 and ``x - x * 1.0``
+is +0.0, and a skipped row already holds a zero, perhaps -0.0 where a
+rewrite would store +0.0.  The sign of a zero never changes which
+entries are nonzero, a nonzero entry or the rhs column.
 
-A pivot leaves its column an exact unit vector without rewriting it: the
-scaled pivot row holds ``p / p``, which is 1.0 in IEEE 754, every
-eliminated row holds ``x - x * 1.0``, which is +0.0, and the rows the
-update skips already hold a zero.  Such a zero may be -0.0 where a
-rewrite would store +0.0.  The sign of a zero never changes which entries
-are nonzero, the value of a nonzero entry, or the rhs column, so the
-pivots, points and objectives stay the same.
+The ratio test runs on Python floats, whose ``/``, ``<=``, ``abs`` and
+``min`` are numpy's IEEE 754 double operations; no ratio is NaN (every
+divisor is ``> PIVOT_TOL``), so the ratios, the tie cut ``rmin + 1e-12 *
+max(1.0, |rmin|)`` (the same for either sign of a zero ``rmin``) and the
+chosen row, ties going to the distinct smallest basic index, are those
+of an array version, in any order of the rows.  The phase-1 objective
+row and the phase-2 reduced costs are each one ``np.subtract.reduce``
+over stacked rows, which subtracts them left to right, as a loop would.
 
-The ratio test runs on Python floats over the entering column's few
-nonzero rows instead of on numpy arrays.  Python's float ``/``, ``<``,
-``<=``, ``abs`` and ``min`` are the same IEEE 754 double operations as
-numpy's, and no ratio is NaN (every divisor passed ``> PIVOT_TOL``), so
-the ratios, the tie cut ``rmin + 1e-12 * max(1.0, |rmin|)`` and the
-chosen row are those of the array version.  Where ``rmin`` is a zero, its
-sign may differ between ``min`` and ``np.minimum``, but the cut is the
-same for either sign.  Among the tied rows ``min`` takes the smallest
-basic index, and basic indices are distinct.
+Pivots are often replayed rather than run.  Programs with equal matrices
+(compared by content), bounded variables and negated rows share their
+tableau up to the rhs column, and the memo keeps one prefix tree of the
+pivots recorded on it.  A phase-1 node is a pivot's entering column: its
+nonzero rows, those whose entry passes the ratio test first, their
+entries, and a child per leaving row.  A later program replays the tree
+on its rhs alone: at each node it reruns the ratio test, updates each
+row's rhs as ``rhs[r] - e * (rhs[leave] / p)``, as :func:`_eliminate`
+does, and steps to the child of the row that left.  The last child holds
+the pivots that drive artificials out, the rows phase 2 starts from, and
+a phase-2 tree: a child per entering column, then per leaving row, with
+the pivot row's nonzero cells.  Along it a program carries its objective
+row, updated as ``obj[j] - e * prow[j]`` on those cells, for Bland's
+entering choice.  A phase 2 joins the tree the second time it is taken.
+Where a choice has no child, phase 1 is solved on the tableau, or phase
+2 on the rows after the pivots followed, and the new pivots join the
+tree.  The pivots and bits are those of the full solve: an elimination
+updates each column from that column and the pivot column only, so the
+tableau without its rhs column depends on the pivots taken, not on the
+rhs or the objective; equal pivots so far thus give equal phase-1
+entering columns (read off the rhs-free objective row), entries and rows
+eligible to leave, and the carried objective row has the full update's
+nonzero entries (a cell where the pivot row is zero only loses a zero);
+and the rhs and the objective row are updated from nonzero entries only,
+so the signs of zeros never reach a choice.
 
-The phase-1 objective row and the phase-2 reduced costs are each one
-``np.subtract.reduce`` over stacked rows.  A reduction along the first
-axis subtracts the rows one at a time, left to right, so it rounds
-exactly as a loop of row subtractions in the same order.
-
-Pivots are often replayed rather than run.  Programs with equal
-matrices (compared by content), the same bounded variables and the same
-negated rows start from the same tableau except for its rhs column, and
-their phase-1 pivots repeat.  So a solve records its phase-1 path: each
-pivot's entering column, the nonzero rows and entries of that column
-and the leaving row, then the nonzero entries of the constraint rows it
-leaves to phase 2.  A later program with the same key replays a
-recorded path on its rhs alone, in Python floats: at every pivot it
-reruns the ratio test through the same :func:`_leaving_row` and updates
-each eliminated row's rhs as ``rhs[r] - e * (rhs[leave] / p)``, the
-operations :func:`_eliminate` performs on that column.  Phase 2 starts
-from the rows a phase-1 path leaves, so its paths hang off that path; a
-phase-2 path also stores each pivot row's nonzero entries.  Following
-one, a program carries its own objective row, updated as ``obj[j] - e *
-prow[j]`` on the pivot row's nonzero cells, and checks Bland's entering
-choice on it at every pivot.  A phase-2 path is recorded the second
-time a phase 2 takes it, re-derived from the stored rows.  Where a
-choice leaves the path followed, a recorded path with the same pivots
-so far is followed instead; where none is, phase 1 is solved from the
-untouched tableau and phase 2 on the rows after the pivots replayed.
-The pivots and bits are those of the full solve:
-
-* an elimination updates each column from that column and the pivot
-  column only, so the tableau without its rhs column depends on the
-  pivots taken, not on the rhs or the objective;
-* phase-1 entering choices read only the rhs-free part of the objective
-  row, so equal pivots so far give equal entering columns, equal
-  column entries and an equal set of rows eligible to leave; phase-2
-  entering choices read the carried objective row, whose nonzero
-  entries are those of the full update, which changes a cell where the
-  pivot row holds a zero only by subtracting a zero;
-* the rhs column and the objective row are updated only from nonzero
-  entries, so the signs of zeros, which may differ between the stored
-  rows and the full solve's, never reach a choice.
-
-The memo is bounded: at most ``_PATHS_PER_TABLEAU`` phase-1 paths a
-key, ``_PHASE2_PATHS`` phase-2 paths of at most ``_PHASE2_PIVOTS``
-pivots a phase-1 path, and ``_MEMO_BYTES`` of arrays in all, least
-recently used tableau first out.  A tableau that would not fit alone is
-not stored.
+Stored values convert back to the same doubles.  The matrices and the
+phase-2 rows are kept as nonzero cells (uint8 or uint16 where they fit)
+and values (int8 where all are integers in [-128, 127], as in the
+dispatch programs): a small integer converts to its double exactly, and
+a nonzero integral double has one bit pattern.  Node entries that are
+such integers share one float per value, and a tableau stores each
+distinct tuple of rows or entries once.  The memo holds about
+``_MEMO_BYTES`` of heap, least recently used tableau first out; a
+tableau that would not fit alone is not stored, and a tree stops growing
+where it would not fit.
 """
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -248,19 +231,24 @@ def _eliminate(t: np.ndarray, basis: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
-def _leaving_row(rows: list, entries: list, rhs: list, basis) -> int:
-    """Bland's ratio test on Python floats: of ``rows``, whose entering-column
-    ``entries`` are given, the row with an entry ``> PIVOT_TOL`` and the
-    least ratio to its value in the rhs column ``rhs``, ties within
-    ``1e-12`` (relative) going to the smallest basic index; -1 when no
-    entry passes."""
-    ratios = [(rhs[r] / e, r) for r, e in zip(rows, entries) if e > PIVOT_TOL]
+def _leaving_row(ratios: list, basis) -> int:
+    """Bland's ratio test on Python floats: of ``ratios``, the (rhs / entry,
+    row) pairs of the rows whose entering-column entry is ``> PIVOT_TOL``,
+    the row with the least ratio, ties within ``1e-12`` (relative) going to
+    the smallest basic index; -1 when no entry passes."""
     if len(ratios) < 2:  # one pivot in seven in dispatch programs has one
         return ratios[0][1] if ratios else -1
     rmin = min(ratios)[0]
     cut = rmin + 1e-12 * max(1.0, abs(rmin))
     tied = [r for ratio, r in ratios if ratio <= cut]
     return tied[0] if len(tied) == 1 else min(tied, key=basis.__getitem__)
+
+
+def _replayed_row(column: "_Column", rhs: list, basis) -> int:
+    """:func:`_leaving_row` on a recorded column; a lone passing row leaves."""
+    rows, n = column.rows, column.passing
+    return rows[0] if n == 1 else _leaving_row(
+        [(rhs[r] / e, r) for r, e in zip(rows, column.entries[:n])], basis)
 
 
 def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: list,
@@ -291,7 +279,9 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: li
         entries = column[nz]
         # the objective row is among the nonzero rows, but its entry is
         # negative, so it never passes the ratio test
-        leave = _leaving_row(nz.tolist(), entries.tolist(), rhs.tolist(), basis)
+        values = rhs.tolist()
+        leave = _leaving_row([(values[r] / e, r) for r, e in zip(nz.tolist(), entries.tolist())
+                              if e > PIVOT_TOL], basis)
         pairs.append((enter, leave))
         if entering is not None:
             entering.append((nz, entries))
@@ -303,29 +293,12 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: li
 
 # --- pivot path memo ------------------------------------------------------------
 
-# Both bounds are sized from the benchmark workloads (BENCH_13.json,
-# "memo_sizing").  The bytes are those of the memo's arrays, all tableaux and
-# paths together.  The Python objects around them add about a fifth (0.58 MiB
-# on the heap for 0.49 MiB counted, reference day), and a full memo raises
-# the benchmark's peak resident memory by 1.4-1.7 MiB.
+# About the heap bytes the memo may hold (BENCH_16.json, "memo").
 _MEMO_BYTES = 1 << 19
-# Keys with up to 192 distinct phase-1 paths occur.  With one path a key the
-# ratio test leaves it on 20% of the grid-storage-wide programs, 37% of the
-# reference day's and 49% of reform-mixed's; with 16, on 0.8%, 10% and 25%.
-# 32 or 64 move these by under a point either way, as the byte bound then
-# holds fewer keys.  One grid key has 18 paths: at 16 two of them push each
-# other out on every repetition, and the phase-2 paths on them are recorded
-# again (18 phase-1 and 65 phase-2 recordings a repetition, and a peak
-# resident memory that grows with each); at 20 none are.
-_PATHS_PER_TABLEAU = 20
-# The workloads have 7 / 58 / 25 keys; a tableau is recorded the second time
-# it is seen, so programs that never repeat one do not pay for recording.
-_SEEN_TABLEAUX = 256
-# Phase 2s are sized from the same seed-1 streams (BENCH_14.json,
-# "phase2_sizing").  Grid-storage-wide phase-1 paths carry up to 19 recorded
-# phase 2s; 32 paths and as many sightings a path replay 2,868 of its
-# programs' phase 2s, 16 replay 2,848.
-_PHASE2_PATHS = 32
+# The workloads have 7 / 58 / 25 keys.  A tableau, and a phase 2 from a
+# phase-1 end, is recorded the second time it is seen among the last this
+# many sightings, so programs that never repeat one do not pay for recording.
+_SIGHTINGS = 256
 # Grid phase 2s take at most 11 pivots.  Longer ones seldom repeat and cost
 # their pivots again to record: on the reference day every length re-derives
 # 11,364 pivots to replay 3,422, and leaves phase 1 less room; at most 16,
@@ -333,10 +306,21 @@ _PHASE2_PATHS = 32
 _PHASE2_PIVOTS = 16
 
 
+def _compact(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions as uint8 or uint16 where all fit, and their nonzero
+    doubles as int8 where all are integers in [-128, 127]."""
+    top = int(cells.max(initial=0))
+    cells = cells.astype(np.uint8 if top < 256 else np.uint16) if top < 65536 else cells
+    if values.size and -128.0 <= values.min() and values.max() <= 127.0:
+        small = values.astype(np.int8)
+        values = small if np.array_equal(small, values) else values
+    return cells, values
+
+
 def _nonzeros(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = mat.reshape(-1)
     cells = flat.nonzero()[0]
-    return cells, flat[cells]
+    return _compact(cells, flat[cells])
 
 
 def _holds(mat: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -348,158 +332,187 @@ def _holds(mat: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray]) -> bool:
             and np.array_equal(mat.reshape(-1)[cells], values))
 
 
-def _packed(parts: list, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``parts`` end to end as one array of ``dtype``, and where each starts
-    (and the last ends).  A tableau of 2**31 cells would take 16 GiB, so
-    int32 indices do."""
-    bounds = np.cumsum([0] + [part.size for part in parts], dtype=np.int32)
-    return bounds, (np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype))
+def _floats(values: list) -> tuple:
+    """Nonzero ``values``, with the memo's float of each integer in [-128, 127]."""
+    shared = _MEMO.floats
+    return tuple([shared.get(v, v) for v in values])
 
 
-class _Phase2Path(NamedTuple):
-    """One recorded phase 2 from the rows a phase-1 path leaves.
-
-    Pivot ``k`` is ``pairs[k]``, its entering column and leaving row; a
-    path that ended on an unbounded column ends with that column and -1.
-    The constraint rows nonzero in the entering column are
-    ``rows[bounds[k]:bounds[k + 1]]``, with ``entries`` in that column, and
-    the pivot row, divided by its pivot, holds ``values[starts[k]:starts[k
-    + 1]]`` at the columns ``cols[...]`` and zeros elsewhere.
-    """
-
-    pairs: tuple
-    bounds: np.ndarray
-    rows: np.ndarray
-    entries: np.ndarray
-    starts: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    nbytes: int
-
-    @classmethod
-    def derive(cls, start: "_Phase1Path", pairs: tuple, shape: tuple) -> "_Phase2Path":
-        """The path ``pairs`` takes from the phase-2 rows of ``start``, whose
-        tableau has ``shape``, re-derived by taking its pivots on those rows
-        without the rhs column, which no other column reads."""
-        t = np.zeros(shape)
-        t.reshape(-1)[start.cells] = start.values
-        t = t[:-1, :-1]
-        basis = np.empty(shape[0] - 1, dtype=np.intp)
-        rows, entries, cols, values = [], [], [], []
-        for enter, leave in pairs:
-            nz = t[:, enter].nonzero()[0]
-            rows.append(nz)
-            entries.append(t[nz, enter])
-            if leave >= 0:
-                _eliminate(t, basis, leave, enter, nz, entries[-1])
-                cols.append(t[leave].nonzero()[0])
-                values.append(t[leave, cols[-1]])
-        arrays = (*_packed(rows, np.int32), np.concatenate(entries),
-                  *_packed(cols, np.int32), _packed(values, float)[1])
-        return cls(pairs, *arrays, sum(a.nbytes for a in arrays))
+def _held(*parts) -> int:
+    """About the heap bytes of ``parts``: their own sizes, and those of the
+    floats in the tuples among them that the memo does not share."""
+    shared = _MEMO.floats
+    return sum(map(sys.getsizeof, parts)) + 24 * sum(
+        type(v) is float and v not in shared
+        for part in parts if type(part) is tuple for v in part)
 
 
-class _Phase1Path(NamedTuple):
-    """One recorded phase 1 and the constraint rows it leaves to phase 2.
+class _Node:
+    """A node of a tree of recorded pivots, with its children and the choices
+    that lead to them as ``kids``: ``(choice, node, choice, node, ...)``.
+    Its tuples named in ``shared`` are the tableau's, and count there."""
 
-    Pivot ``k`` makes row ``leaves[k]`` basic in column ``enters[k]`` and
-    eliminates rows ``rows[bounds[k]:bounds[k + 1]]``, whose entries in
-    that column were ``entries[bounds[k]:bounds[k + 1]]``.  The first
-    ``ratio_tested`` pivots minimize the artificials, the rest drive
-    artificials out.  Phase 2 keeps the rows whose basic column is a real
-    one; its tableau, without the rhs and the objective row, holds
-    ``values`` at the flat positions ``cells`` and zeros elsewhere.
-    ``phase2`` holds the recorded phase-2 paths from those rows, newest
-    first, and ``sightings`` the hashes of the (entering, leaving) pairs
-    of phase 2s taken once and not recorded.  ``own_bytes`` counts the
-    bytes of the arrays, those of the phase-2 paths left out.
-    """
+    __slots__ = ()
+    shared = ()
 
-    leaves: tuple
-    ratio_tested: int
-    enters: np.ndarray
-    bounds: np.ndarray
-    rows: np.ndarray
-    entries: np.ndarray
-    cells: np.ndarray
-    values: np.ndarray
-    own_bytes: int
-    phase2: tuple = ()
-    sightings: tuple = ()
+    def held(self) -> int:
+        return _held(self, self.kids)
 
-    @classmethod
-    def record(cls, pairs: list, columns: list, ratio_tested: int,
-               t2: np.ndarray) -> "_Phase1Path":
+
+class _Column(_Node):
+    """A recorded pivot's entering column ``enter``: its nonzero ``rows``
+    and their ``entries``, the ``passing`` rows, whose entry is ``>
+    PIVOT_TOL``, first; children by leaving row."""
+
+    __slots__ = ("enter", "passing", "rows", "entries", "kids")
+    shared = ("rows", "entries")
+
+    def __init__(self, enter: int, rows: np.ndarray, entries: np.ndarray):
+        rows, entries = rows.tolist(), entries.tolist()
+        order = sorted(range(len(rows)), key=lambda i: not entries[i] > PIVOT_TOL)
+        self.enter, self.passing = enter, sum(e > PIVOT_TOL for e in entries)
+        self.rows = tuple([rows[i] for i in order])
+        self.entries, self.kids = _floats([entries[i] for i in order]), ()
+
+
+class _Row(_Node):
+    """The pivot row of a recorded phase-2 pivot, divided by its pivot:
+    ``values`` at ``cols``, zeros elsewhere; children by entering column."""
+
+    __slots__ = ("cols", "values", "kids")
+    shared = ("cols", "values")
+
+    def __init__(self, cols: np.ndarray, values: np.ndarray):
+        self.cols, self.values, self.kids = tuple(cols.tolist()), _floats(values.tolist()), ()
+
+
+class _End(_Node):
+    """The end of a recorded phase 1: the ``drive`` pivots that drive
+    artificials out, as (leaving row, :class:`_Column`); the tableau of the
+    rows phase 2 keeps, those whose basic column is a real one, without the
+    rhs and the objective row, as ``values`` at the flat positions
+    ``cells``; and phase-2 children by entering column."""
+
+    __slots__ = ("drive", "cells", "values", "kids")
+
+    def __init__(self, drive: tuple, t2: np.ndarray):
         cell_rows, cell_cols = t2[:-1, :-1].nonzero()
-        bounds, rows = _packed([rows for rows, _ in columns], np.int32)
-        arrays = (
-            np.array([enter for enter, _ in pairs], dtype=np.int32),
-            bounds, rows,
-            np.concatenate([entries for _, entries in columns]),
-            (cell_rows * t2.shape[1] + cell_cols).astype(np.int32),
-            t2[cell_rows, cell_cols],
-        )
-        return cls(tuple(leave for _, leave in pairs), ratio_tested, *arrays,
-                   sum(a.nbytes for a in arrays))
+        self.drive, self.kids = drive, ()
+        self.cells, self.values = _compact(cell_rows * t2.shape[1] + cell_cols,
+                                           t2[cell_rows, cell_cols])
 
-    @property
-    def nbytes(self) -> int:
-        return self.own_bytes + sum(path.nbytes for path in self.phase2)
-
-    def sighted(self, pairs: tuple, shape: tuple) -> "_Phase1Path":
-        """This path, with a phase 2 from its rows that took ``pairs`` noted:
-        recorded the second time, remembered as a sighting the first."""
-        seen = hash(pairs)
-        if seen not in self.sightings:
-            return self._replace(sightings=(seen, *self.sightings[:_PHASE2_PATHS - 1]))
-        return self._replace(
-            phase2=(_Phase2Path.derive(self, pairs, shape), *self.phase2[:_PHASE2_PATHS - 1]),
-            sightings=tuple(s for s in self.sightings if s != seen))
+    def held(self) -> int:
+        return (_held(self, self.drive, *self.drive, self.cells, self.values, self.kids)
+                + sum(column.held() for _, column in self.drive))
 
 
-class _Tableau(NamedTuple):
-    """What every program of one memo key shares before phase 1.
+class _Tableau:
+    """What every program of one memo key shares before phase 1: the
+    matrices' nonzeros, for the content check; the rows divided by their
+    seed pivot and those pivots; the crash basis; the artificial rows, in
+    the order the phase-1 objective row subtracts them; the ``root`` of the
+    tree of recorded pivots; each distinct tuple of indices and of floats
+    its nodes hold, once, apart (``(1, 2) == (1.0, 2.0)``); and ``nbytes``,
+    about the heap bytes of all of it."""
 
-    The matrices as their nonzero cells and values, for the content check;
-    the rows divided by their seed pivot and those pivots; the crash basis
-    with its artificial columns and the artificial rows, in the order the
-    phase-1 objective row subtracts them; and the recorded phase-1 paths,
-    newest first.  ``own_bytes`` counts the bytes of the arrays, those of
-    the paths left out.
-    """
+    __slots__ = ("eq", "ub", "scaled_rows", "seed_pivots", "basis", "art_rows", "root",
+                 "tuples", "nbytes")
 
-    eq: tuple[np.ndarray, np.ndarray]
-    ub: tuple[np.ndarray, np.ndarray]
-    scaled_rows: np.ndarray
-    seed_pivots: np.ndarray
-    basis: np.ndarray
-    art_rows: np.ndarray
-    paths: tuple
-    own_bytes: int
+    def __init__(self, aeq: np.ndarray, aub: np.ndarray, scaled: np.ndarray, piv: np.ndarray,
+                 basis: np.ndarray, art_rows: np.ndarray):
+        self.eq, self.ub = _nonzeros(aeq), _nonzeros(aub)
+        self.scaled_rows, self.seed_pivots = tuple(scaled.tolist()), _floats(piv.tolist())
+        self.basis, self.art_rows = tuple(basis.tolist()), tuple(art_rows.tolist())
+        self.root, self.tuples = None, ({}, {})
+        self.nbytes = self.held()
 
-    @classmethod
-    def start(cls, aeq: np.ndarray, aub: np.ndarray, *crash: np.ndarray) -> "_Tableau":
-        """The tableau of ``aeq`` and ``aub`` with its crash arrays (scaled
-        rows, seed pivots, basis, artificial rows) and no paths yet."""
-        eq, ub = _nonzeros(aeq), _nonzeros(aub)
-        return cls(eq, ub, *crash, (), sum(a.nbytes for a in (*eq, *ub, *crash)))
+    def held(self) -> int:
+        """About the heap bytes of the tableau without the nodes of its tree."""
+        return _held(self, self.eq, *self.eq, self.ub, *self.ub, self.scaled_rows,
+                     self.seed_pivots, self.basis, self.art_rows) + _stored(*self.tuples)
 
-    @property
-    def nbytes(self) -> int:
-        return self.own_bytes + sum(path.nbytes for path in self.paths)
+
+def _stored(*tables: dict) -> int:
+    """About the heap bytes of the tuples in ``tables`` and their dict entries."""
+    return sum(_held(*table) + 48 * len(table) for table in tables)  # 48: about an entry
+
+
+def _kid(kids: tuple, choice: int):
+    """The node after ``choice`` in ``kids``, or None."""
+    for i in range(0, len(kids), 2):
+        if kids[i] == choice:
+            return kids[i + 1]
+    return None
+
+
+def _phase1_chain(tableau: _Tableau, pairs: list, columns: list, ratio_tested: int,
+                  t2: np.ndarray) -> list | None:
+    """The pivots ``pairs`` of a phase 1 that ``tableau``'s tree lacks, with
+    the ``columns`` they entered, as new nodes ending at the rows ``t2``:
+    (owner, choice, node) links, the first where they hang in the tree; or
+    None.  The first ``ratio_tested`` pivots minimize the artificials, the
+    rest drive them out."""
+    owner = choice = None
+    node, k = tableau.root, 0
+    while node is not None and k < ratio_tested:
+        owner, choice = node, pairs[k][1]
+        node = _kid(owner.kids, choice)
+        k += 1
+    if node is not None:
+        return None
+    drive = tuple((leave, _Column(enter, *column))
+                  for (enter, leave), column in zip(pairs[ratio_tested:], columns[ratio_tested:]))
+    nodes = [_Column(pairs[j][0], *columns[j]) for j in range(k, ratio_tested)]
+    nodes.append(_End(drive, t2))
+    return [(owner, choice, nodes[0])] + [
+        (column, pairs[j][1], node)
+        for j, column, node in zip(range(k, ratio_tested), nodes, nodes[1:])]
+
+
+def _phase2_chain(end: _End, pairs: tuple, shape: tuple) -> list | None:
+    """The pivots ``pairs`` of a phase 2 from ``end`` that its tree lacks,
+    re-derived on the rows of ``end``, of ``shape``, without the rhs column,
+    which no other column reads; as :func:`_phase1_chain` returns them."""
+    owner, k, column = end, 0, None
+    while k < len(pairs):
+        column = _kid(owner.kids, pairs[k][0])
+        row = None if column is None else _kid(column.kids, pairs[k][1])
+        if row is None:
+            break
+        owner, k, column = row, k + 1, None
+    if k == len(pairs) or (column is not None and pairs[k][1] < 0):
+        return None
+    t = np.zeros(shape)
+    t.reshape(-1)[end.cells] = end.values
+    t = t[:-1, :-1]
+    basis = np.empty(shape[0] - 1, dtype=np.intp)
+    links = []
+    for j, (enter, leave) in enumerate(pairs):
+        nz = t[:, enter].nonzero()[0]
+        if j > k or (j == k and column is None):
+            column = _Column(enter, nz, t[nz, enter])
+            links.append((owner, enter, column))
+        if leave < 0:
+            break
+        _eliminate(t, basis, leave, enter, nz, t[nz, enter])
+        if j >= k:
+            cols = t[leave].nonzero()[0]
+            owner = _Row(cols, t[leave, cols])
+            links.append((column, leave, owner))
+    return links
 
 
 class _PathMemo:
-    """Recorded pivot paths by tableau key, least recently used first,
-    holding at most ``_MEMO_BYTES`` and ``_PATHS_PER_TABLEAU`` phase-1 paths
-    a key.  A stored tableau is never changed, only replaced, and a lock
-    keeps the memo whole when programs are solved on several threads."""
+    """Trees of recorded pivots by tableau key, least recently used first,
+    holding about ``_MEMO_BYTES`` at most.  Nodes are only ever added, and a
+    lock keeps the memo and its byte counts whole on several threads."""
 
     def __init__(self):
         self.tableaux: OrderedDict[tuple, _Tableau] = OrderedDict()
         self.nbytes = 0
         self.seen: OrderedDict[int, None] = OrderedDict()
         self.lock = threading.Lock()
+        self.floats = {float(v): float(v) for v in range(-128, 128) if v}
 
     def clear(self) -> None:
         with self.lock:
@@ -507,15 +520,15 @@ class _PathMemo:
             self.nbytes = 0
             self.seen.clear()
 
-    def seen_before(self, key: tuple, aeq: np.ndarray, aub: np.ndarray) -> bool:
-        """Whether a tableau of ``key`` with these matrices was seen before
-        among the last ``_SEEN_TABLEAUX``; it is remembered either way."""
-        seen = hash((key, aeq.tobytes(), aub.tobytes()))
+    def seen_before(self, *sighting) -> bool:
+        """Whether ``sighting`` was seen before among the last
+        ``_SIGHTINGS``; it is remembered either way."""
+        seen = hash(sighting)
         with self.lock:
             known = seen in self.seen
             self.seen[seen] = None
             self.seen.move_to_end(seen)
-            if len(self.seen) > _SEEN_TABLEAUX:
+            if len(self.seen) > _SIGHTINGS:
                 self.seen.popitem(last=False)
         return known
 
@@ -528,30 +541,59 @@ class _PathMemo:
             return None
         return tableau
 
-    def record(self, key: tuple, tableau: _Tableau, path: _Phase1Path) -> None:
-        """Store ``tableau`` with ``path`` added as the tableau of ``key``."""
-        self.store(key, tableau._replace(paths=(path, *tableau.paths[:_PATHS_PER_TABLEAU - 1])))
-
-    def replace(self, key: tuple, tableau: _Tableau, old: _Phase1Path,
-                new: _Phase1Path) -> None:
-        """Store ``tableau`` with its path ``old`` replaced by ``new``."""
-        self.store(key, tableau._replace(
-            paths=tuple(new if path is old else path for path in tableau.paths)))
-
-    def store(self, key: tuple, tableau: _Tableau) -> None:
-        """Store ``tableau`` as the tableau of ``key``, unless it alone would
-        exceed the memo's bytes."""
-        nbytes = tableau.nbytes
-        if nbytes > _MEMO_BYTES:
-            return  # storing it would push out every other tableau, then itself
+    def add(self, key: tuple, tableau: _Tableau, links: list) -> bool:
+        """Link new nodes, as (owner, choice, node) ``links``, the first on a
+        node of ``tableau``, the stored tableau of ``key``, or, with owner
+        None, as its root, storing it; whether they were.  Their tuples
+        become the tableau's.  Nothing is added where the tableau would
+        outgrow the memo alone, is no longer stored, or has that child."""
+        (owner, choice, _), nodes = links[0], [node for _, _, node in links]
+        for link_owner, link_choice, node in links[1:]:
+            link_owner.kids = (link_choice, node)
+        parts = nodes + [column for node in nodes if type(node) is _End
+                         for _, column in node.drive]
         with self.lock:
-            old = self.tableaux.pop(key, None)
-            if old is not None:
-                self.nbytes -= old.nbytes
-            self.tableaux[key] = tableau
+            if owner is not None and (self.tableaux.get(key) is not tableau
+                                      or _kid(owner.kids, choice) is not None):
+                return False
+            new = ({}, {})
+            for node in parts:
+                for stored, table, name in zip(tableau.tuples, new, node.shared):
+                    values = getattr(node, name)
+                    if values not in stored:
+                        table.setdefault(values, values)
+            # 16: the two items ``owner.kids`` gains
+            nbytes = sum(node.held() for node in nodes) + _stored(*new) + 16 * (owner is not None)
+            if tableau.nbytes + nbytes > _MEMO_BYTES:
+                return False  # it would push out every other tableau, then itself
+            for stored, table in zip(tableau.tuples, new):
+                stored.update(table)
+            for node in parts:
+                for stored, name in zip(tableau.tuples, node.shared):
+                    setattr(node, name, stored[getattr(node, name)])
+            if owner is None:
+                tableau.root = nodes[0]
+                old = self.tableaux.pop(key, None)
+                self.nbytes += tableau.nbytes - (0 if old is None else old.nbytes)
+                self.tableaux[key] = tableau
+            else:
+                owner.kids = (*owner.kids, choice, nodes[0])
+                self.tableaux.move_to_end(key)
+            tableau.nbytes += nbytes
             self.nbytes += nbytes
             while self.nbytes > _MEMO_BYTES:
                 self.nbytes -= self.tableaux.popitem(last=False)[1].nbytes
+        return True
+
+    def sight(self, key: tuple, tableau: _Tableau, end: _End, pairs: tuple,
+              shape: tuple) -> None:
+        """Note a phase 2 that took the pivots ``pairs`` from ``end``, whose
+        rows' tableau has ``shape``; the second time from rows of the same
+        key and nonzero cells (whatever end holds them), add it to the tree."""
+        if self.seen_before(key, end.cells.tobytes(), pairs):
+            chain = _phase2_chain(end, pairs, shape)
+            if chain is not None:
+                self.add(key, tableau, chain)
 
 
 _MEMO = _PathMemo()
@@ -567,124 +609,82 @@ def _pivot_rhs(rhs: list, rows: list, entries: list, leave: int) -> None:
 
 def _replay(key: tuple, tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
             ncols: int) -> LpSolution | None:
-    """Solve from a recorded phase-1 path of ``tableau`` on the rhs ``b``,
-    or return None when the ratio test leaves every recorded path."""
+    """Solve along the recorded tree of ``tableau`` on the rhs ``b``, or
+    return None where the ratio test picks a row it has no child for."""
     rhs = b.tolist()
-    for r, p in zip(tableau.scaled_rows.tolist(), tableau.seed_pivots.tolist()):
+    for r, p in zip(tableau.scaled_rows, tableau.seed_pivots):
         rhs[r] /= p
     objective = 0.0  # the phase-1 objective row's rhs, as its ordered reduction
-    for r in tableau.art_rows.tolist():
+    for r in tableau.art_rows:
         objective -= rhs[r]
     rhs.append(objective)
-    basis = tableau.basis.tolist()
-    paths = tableau.paths
-    path = paths[0]
-    enters, bounds = path.enters.tolist(), path.bounds.tolist()
-    rows, entries = path.rows.tolist(), path.entries.tolist()
-    k = 0
-    while k < path.ratio_tested:
-        pivot_rows = rows[bounds[k]:bounds[k + 1]]
-        pivot_entries = entries[bounds[k]:bounds[k + 1]]
-        leave = _leaving_row(pivot_rows, pivot_entries, rhs, basis)
-        if leave != path.leaves[k]:
-            # a path with the same pivots so far has the same tableau here
-            prefix = path.leaves[:k] + (leave,)
-            path = next((p for p in paths if p.leaves[:k + 1] == prefix), None)
-            if path is None:
-                return None
-            enters, bounds = path.enters.tolist(), path.bounds.tolist()
-            rows, entries = path.rows.tolist(), path.entries.tolist()
-        _pivot_rhs(rhs, pivot_rows, pivot_entries, leave)
-        basis[leave] = enters[k]
+    basis = list(tableau.basis)
+    node, k = tableau.root, 0
+    while type(node) is _Column:
+        leave = _replayed_row(node, rhs, basis)
+        _pivot_rhs(rhs, node.rows, node.entries, leave)
+        basis[leave] = node.enter
+        node = _kid(node.kids, leave)
         k += 1
+    if node is None:
+        return None
     if -rhs[-1] > FEAS_TOL:
         return LpSolution(LpStatus.INFEASIBLE, None, None, k, phase1_replayed=k)
-    for k in range(path.ratio_tested, len(path.leaves)):
-        leave = path.leaves[k]
-        _pivot_rhs(rhs, rows[bounds[k]:bounds[k + 1]], entries[bounds[k]:bounds[k + 1]], leave)
-        basis[leave] = enters[k]
+    for leave, column in node.drive:
+        _pivot_rhs(rhs, column.rows, column.entries, leave)
+        basis[leave] = column.enter
 
     keep = [i for i, j in enumerate(basis) if j < ncols]
     t2 = np.zeros((len(keep) + 1, ncols + 1))
-    t2.reshape(-1)[path.cells] = path.values
+    t2.reshape(-1)[node.cells] = node.values
     t2[:-1, -1] = [rhs[i] for i in keep]
-    phase1 = len(path.leaves)
+    phase1 = k + len(node.drive)
     solution, pairs = _phase2(t2, np.array([basis[i] for i in keep], dtype=np.intp), c, lo,
-                              phase1, phase1, path.phase2)
+                              phase1, phase1, node.kids)
     if pairs:
-        _MEMO.replace(key, tableau, path, path.sighted(pairs, t2.shape))
+        _MEMO.sight(key, tableau, node, pairs, t2.shape)
     return solution
 
 
-def _branch(paths: tuple, prefix: tuple, pivot: tuple):
-    """The newest of the phase-2 ``paths`` that starts with the pivots
-    ``prefix`` and then ``pivot``, an entering column or an entering column
-    and leaving row; None when no path does."""
-    k = len(prefix)
-    return next((p for p in paths if p.pairs[:k] == prefix and len(p.pairs) > k
-                 and p.pairs[k][:len(pivot)] == pivot), None)
-
-
-def _follow(paths: tuple, obj: list, rhs: list, basis: list) -> tuple:
-    """Take phase-2 pivots along the recorded ``paths`` on the objective row
-    ``obj``, ``rhs`` and ``basis`` alone, updating them as a full pivot does.
-
-    Each entering column is Bland's choice on ``obj`` and each leaving row
-    the ratio test's on ``rhs``.  Where either leaves the path followed, a
-    path with the same pivots so far and this choice is followed instead:
-    those pivots fix the tableau, so that path holds this program's rows
-    and entries too.  Returns the outcome ("optimal", "unbounded", or None
-    when the choices leave every path), the pivots taken and a path that
-    holds them.
-    """
+def _follow(kids: tuple, obj: list, rhs: list, basis: list, taken: list) -> str | None:
+    """Take phase-2 pivots along the recorded tree from ``kids`` on ``obj``,
+    ``rhs`` and ``basis`` alone, updating them as a full pivot does, and
+    append each pivot's column and leaving row to ``taken``: Bland's choice
+    on ``obj``, then the ratio test's on ``rhs``, whose child holds this
+    program's rows and entries, as the pivots so far fix the tableau.
+    Returns "optimal", "unbounded", or None where a choice has no child."""
     # the eligible columns change only where a pivot row is nonzero
     eligible = {j for j, cost in enumerate(obj) if cost < -PIVOT_TOL}
-    path = paths[0]
-    pairs = path.pairs
-    bounds, rows, entries, starts, cols, values = _lists(path)
-    k = 0
     while eligible:
         enter = min(eligible)
-        if k == len(pairs) or pairs[k][0] != enter:
-            other = _branch(paths, pairs[:k], (enter,))
-            if other is None:
-                return None, k, path
-            path, pairs = other, other.pairs
-            bounds, rows, entries, starts, cols, values = _lists(path)
-        pivot_rows = rows[bounds[k]:bounds[k + 1]]
-        pivot_entries = entries[bounds[k]:bounds[k + 1]]
-        leave = _leaving_row(pivot_rows, pivot_entries, rhs, basis)
-        if pairs[k][1] != leave:
-            other = _branch(paths, pairs[:k], (enter, leave))
-            if other is None:
-                return None, k, path
-            path, pairs = other, other.pairs
-            bounds, rows, entries, starts, cols, values = _lists(path)
+        column = _kid(kids, enter)
+        if column is None:
+            return None
+        leave = _replayed_row(column, rhs, basis)
         if leave < 0:
-            return "unbounded", k, path
-        _pivot_rhs(rhs, pivot_rows, pivot_entries, leave)
+            return "unbounded"
+        row = _kid(column.kids, leave)
+        if row is None:
+            return None
+        _pivot_rhs(rhs, column.rows, column.entries, leave)
         e = obj[enter]
-        for j, v in zip(cols[starts[k]:starts[k + 1]], values[starts[k]:starts[k + 1]]):
+        for j, v in zip(row.cols, row.values):
             cost = obj[j] = obj[j] - e * v
             if cost < -PIVOT_TOL:
                 eligible.add(j)
             else:
                 eligible.discard(j)
         basis[leave] = enter
-        k += 1
-    return "optimal", k, path
-
-
-def _lists(path: _Phase2Path) -> list:
-    return [a.tolist() for a in (path.bounds, path.rows, path.entries, path.starts,
-                                 path.cols, path.values)]
+        taken.append((column, leave))
+        kids = row.kids
+    return "optimal"
 
 
 def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
-            phase1: int, phase1_replayed: int, paths: tuple) -> tuple[LpSolution, tuple]:
+            phase1: int, phase1_replayed: int, kids: tuple) -> tuple[LpSolution, tuple]:
     """Phase 2 on the kept constraint rows of ``t2``, whose last row becomes
     the reduced costs of the real objective ``c``, followed along the
-    recorded phase-2 ``paths`` while they hold its pivots.  Returns the
+    recorded tree from ``kids`` while it holds its pivots.  Returns the
     solution and the (entering, leaving) pairs of its pivots when some were
     taken on the tableau's rows, and at most ``_PHASE2_PIVOTS``; else ()."""
     n = c.size
@@ -700,22 +700,21 @@ def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
     np.multiply(basic_cost[priced, None], t2[priced], out=terms[1:])
     t2[-1] = np.subtract.reduce(terms, axis=0)
 
-    taken = ()
-    if paths:
+    taken = []
+    if kids:
         obj, rhs, basis = t2[-1, :ncols].tolist(), t2[:-1, -1].tolist(), basis2.tolist()
-        outcome, phase2, path = _follow(paths, obj, rhs, basis)
+        outcome = _follow(kids, obj, rhs, basis, taken)
         if outcome is not None:
-            return _solution(outcome, c, lo, ncols, basis, rhs, phase1, phase2,
-                             phase1_replayed, phase2), ()
-        # left every path: its pivots so far, taken on the rows, give the
-        # tableau the full solve has here, and the objective row is carried
+            return _solution(outcome, c, lo, ncols, basis, rhs, phase1, len(taken),
+                             phase1_replayed, len(taken)), ()
+        # no child for a choice: the pivots so far, taken on the rows, give
+        # the tableau the full solve has here, and the objective row is carried
         t2[-1, :ncols] = obj
-        taken = path.pairs[:phase2]
-        for k, (enter, leave) in enumerate(taken):
-            bounds = slice(path.bounds[k], path.bounds[k + 1])
-            _eliminate(t2[:-1], basis2, leave, enter, path.rows[bounds], path.entries[bounds])
-    pairs = list(taken)
-    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols, pairs, None, len(taken))
+        for column, leave in taken:
+            _eliminate(t2[:-1], basis2, leave, column.enter, np.array(column.rows),
+                       np.array(column.entries))
+    pairs = [(column.enter, leave) for column, leave in taken]
+    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols, pairs, None, len(pairs))
     solution = _solution(outcome, c, lo, ncols, basis2, t2[:-1, -1], phase1, phase2,
                          phase1_replayed, 0)
     return solution, tuple(pairs) if len(pairs) <= _PHASE2_PIVOTS else ()
@@ -828,7 +827,7 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 
     phase1 = 0
     # a tableau is recorded by the second program that has it
-    recording = nart and (tableau is not None or _MEMO.seen_before(key, aeq, aub))
+    recording = nart and (tableau or _MEMO.seen_before(key, aeq.tobytes(), aub.tobytes()))
     if nart:
         crash_basis = basis.copy()
         # phase 1: minimize the sum of artificial variables; the objective
@@ -868,15 +867,16 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if keep.size < m:
         t2 = t2[np.append(keep, m)]
         basis2 = basis[keep]
-    path = None
+    end = None
     if recording:
-        if tableau is None:
-            tableau = _Tableau.start(aeq, aub, scaled, piv, crash_basis, art_rows)
-        # a stored tableau fits the memo; a new one that does not is not recorded
-        if tableau.paths or tableau.nbytes <= _MEMO_BYTES:
-            # before phase 2 pivots on t2
-            path = _Phase1Path.record(pairs, columns, ratio_tested, t2)
+        tableau = tableau or _Tableau(aeq, aub, scaled, piv, crash_basis, art_rows)
+        # a stored tableau fits the memo; a new one that does not is not
+        # recorded; and the rows are recorded before phase 2 pivots on them
+        if tableau.root is not None or tableau.nbytes <= _MEMO_BYTES:
+            chain = _phase1_chain(tableau, pairs, columns, ratio_tested, t2)
+            if chain is not None and _MEMO.add(key, tableau, chain):
+                end = chain[-1][2]  # phase 2s hang only on ends in the tree
     solution, pairs = _phase2(t2, basis2, c, lo, phase1, 0, ())
-    if path is not None:
-        _MEMO.record(key, tableau, path.sighted(pairs, t2.shape) if pairs else path)
+    if end is not None and pairs:
+        _MEMO.sight(key, tableau, end, pairs, t2.shape)
     return solution

@@ -22,8 +22,11 @@ paths the cold pass left.  Comparing two trees is one ``diff``::
     (cd ../parent && PYTHONPATH=src python ../repo/tests/config_digests.py) > parent.txt
     diff parent.txt change.txt
 
-``--generated-only`` runs the 300 generated worlds alone, and ``--check``
-exits 1 unless every warm digest equals its cold one.
+``--generated-only`` runs the 300 generated worlds alone, ``--label``
+(repeatable) runs only the configurations with that label, as printed,
+and ``--check`` exits 1 unless every warm digest equals its cold one::
+
+    PYTHONPATH=src python tests/config_digests.py --label "grid-storage-wide seed1" --check
 """
 
 import argparse
@@ -112,10 +115,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--generated-only", action="store_true",
                         help="run the 300 generated 4-node worlds alone")
+    parser.add_argument("--label", action="append",
+                        help="run only the configuration with this label (repeatable)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless every warm digest equals its cold one")
     args = parser.parse_args(argv)
-    configs = list(configurations(args.generated_only))
+    configs = [config for config in configurations(args.generated_only)
+               if args.label is None or config[0] in args.label]
+    if not configs:
+        parser.error(f"no configuration has a label among {args.label}")
     for world in dict.fromkeys(world for _, world, _ in configs if world is not None):
         print("world", world_digest(scenario_of(world)),
               "seed{} nodes={} steps={}".format(*world), flush=True)

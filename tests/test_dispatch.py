@@ -4,7 +4,7 @@ import pytest
 from helpers import (assert_same_solution, make_node, make_scenario, solve_cold,
                      surplus_deficit_pair)
 
-from coopgrid import lp
+from coopgrid import dispatch, lp
 from coopgrid.dispatch import (build_coalition_lp, build_individual_lp, coalition_value,
                                evaluate_loss_cost, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
@@ -92,6 +92,26 @@ def test_mean_pairwise_distance():
     assert mean_pairwise_distance([(0.0, 0.0), (0.5, 0.0)]) == pytest.approx(0.5)
     pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
     assert mean_pairwise_distance(pts) == pytest.approx(2.0 / 3.0)
+
+
+def test_mean_distance_is_computed_once_per_set(ref_scenario, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dispatch, "mean_pairwise_distance",
+                        lambda positions: calls.append(positions) or mean_pairwise_distance(
+                            positions))
+    dispatch._mean_distance.cache_clear()
+    storage = ref_scenario.storage_init
+    for k in (0, 1):
+        window = slice_horizon(ref_scenario, k, 5)
+        for mask in range(1, 256):
+            members = coalition_members(mask)
+            breakdown, _ = coalition_value(members, storage, ref_scenario, window, 1e-5)
+            positions = [ref_scenario.nodes[i].position for i in members]
+            # cached and computed afresh, the same double
+            assert (float(breakdown.mean_distance).hex()
+                    == float(mean_pairwise_distance(positions)).hex())
+    # every set of two or more members, once over both steps
+    assert len(calls) == 255 - 8
 
 
 def test_loss_cost_values():
@@ -323,3 +343,46 @@ def test_replayed_phase1_matches_cold_solve(ref_scenario, replays):
     # most programs replay a path recorded by another one, and some fall back
     assert replays.count(True) > 1.5 * len(programs)
     assert False in replays
+
+
+# --- the dispatch programs as networks --------------------------------------------
+
+def test_equality_matrix_is_a_network_matrix():
+    # with its clearing rows negated, every column of every shape the
+    # reference day uses holds at most one +1 and one -1: a node-arc
+    # incidence matrix, so every basis inverse holds only 0 and ±1
+    for n_members in range(1, 9):
+        for horizon in range(1, 6):
+            aeq = dispatch._equality_matrix(n_members, horizon).copy()
+            if n_members > 1:
+                aeq[2 * n_members * horizon:] *= -1.0
+            assert set(np.unique(aeq)) <= {-1.0, 0.0, 1.0}
+            assert (aeq == 1.0).sum(axis=0).max() <= 1
+            assert (aeq == -1.0).sum(axis=0).max() <= 1
+
+
+def test_every_pivot_of_a_reference_step_is_one_or_minus_one(ref_scenario, monkeypatch):
+    pivots = []
+    eliminate, pivot_rhs = lp._eliminate, lp._pivot_rhs
+
+    def watched_eliminate(t, basis, row, col, rows, entries):
+        pivots.append(float(t[row, col]))
+        eliminate(t, basis, row, col, rows, entries)
+
+    def watched_pivot_rhs(rhs, rows, entries, leave):
+        pivots.append(entries[rows.index(leave)])
+        pivot_rhs(rhs, rows, entries, leave)
+
+    monkeypatch.setattr(lp, "_eliminate", watched_eliminate)
+    monkeypatch.setattr(lp, "_pivot_rhs", watched_pivot_rhs)
+    lp._MEMO.clear()
+    hs = slice_horizon(ref_scenario, 0, 5)
+    storage, caps = ref_scenario.storage_init, ref_scenario.storage_capacities
+    for mask in range(1, 256):
+        members = list(coalition_members(mask))
+        solve_lp(build_coalition_lp(hs.select(members), storage[members], caps[members]))
+    # taken on the tableau and replayed from the memo alike; the ratio test
+    # takes positive pivots only, and a pivot that drives an artificial out
+    # may be negative
+    assert len(pivots) > 10_000
+    assert set(pivots) <= {-1.0, 1.0}

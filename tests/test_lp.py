@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import time
 
 import lp_dense_reference
 import numpy as np
@@ -313,6 +314,16 @@ def _shared_tableau_lp(eq_rhs, ub_rhs):
                         upper=np.full(4, 3.0))
 
 
+def _phase1_paths(node, leaves=()) -> list:
+    """The leaving rows of every phase 1 recorded in the tree from ``node``,
+    in the order they were recorded."""
+    if type(node) is lp._End:
+        return [leaves]
+    kids = node.kids
+    return [path for i in range(0, len(kids), 2)
+            for path in _phase1_paths(kids[i + 1], leaves + (kids[i],))]
+
+
 def test_replay_falls_back_where_the_ratio_test_leaves_the_path(replays):
     first = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
     second = _shared_tableau_lp([1.0, 2.0], [1.0, 1.0])
@@ -325,12 +336,32 @@ def test_replay_falls_back_where_the_ratio_test_leaves_the_path(replays):
     assert replays == [False]
     # the second program followed the first one's path for three pivots
     (tableau,) = lp._MEMO.tableaux.values()
-    new, old = tableau.paths
-    assert new.leaves[:3] == old.leaves[:3] and new.leaves[3] != old.leaves[3]
+    old, new = _phase1_paths(tableau.root)
+    assert new[:3] == old[:3] and new[3] != old[3]
     # with both paths recorded, each program replays its own
     assert_same_solution(solve_lp(first), cold[0])
     assert_same_solution(solve_lp(second), cold[1])
     assert replays == [False, True, True]
+
+
+def test_tree_that_would_outgrow_the_memo_stops_growing(monkeypatch, replays):
+    first = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
+    second = _shared_tableau_lp([1.0, 2.0], [1.0, 1.0])
+    cold = [solve_cold(first), solve_cold(second)]
+    solve_recorded(first)
+    (tableau,) = lp._MEMO.tableaux.values()
+    monkeypatch.setattr(lp, "_MEMO_BYTES", tableau.nbytes + 1)
+    replays.clear()
+    # the second program leaves the recorded path, and its phase 1 would not
+    # fit, so it is solved on the tableau every time
+    assert_same_solution(solve_lp(second), cold[1])
+    assert_same_solution(solve_lp(second), cold[1])
+    assert replays == [False, False]
+    assert len(_phase1_paths(tableau.root)) == 1
+    assert [t is tableau for t in lp._MEMO.tableaux.values()] == [True]
+    assert lp._MEMO.nbytes == tableau.nbytes == tableau.held() + _tree_bytes(tableau.root)
+    assert_same_solution(solve_lp(first), cold[0])
+    assert replays == [False, False, True]
 
 
 def test_matrix_changed_in_place_is_not_replayed(replays):
@@ -364,19 +395,25 @@ def test_infeasible_program_replays_a_feasible_path(replays):
 
 def test_tableau_too_big_for_the_memo_is_not_stored(monkeypatch, replays):
     small = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
-    blocks = np.eye(6)  # six independent copies of the small program
-    big = make_program(np.tile(small.objective, 6), np.kron(blocks, small.eq_matrix),
-                       np.tile(small.eq_rhs, 6), np.kron(blocks, small.ub_matrix),
-                       np.tile(small.ub_rhs, 6), upper=np.full(24, 3.0))
+    # independent copies of the small program, enough for the big tableau
+    # alone to outweigh the small one with its tree (20 do, by 28 bytes on
+    # CPython 3.11; 24 by about 500)
+    blocks = np.eye(24)
+    big = make_program(np.tile(small.objective, 24), np.kron(blocks, small.eq_matrix),
+                       np.tile(small.eq_rhs, 24), np.kron(blocks, small.ub_matrix),
+                       np.tile(small.ub_rhs, 24), upper=np.full(96, 3.0))
     want = lp_dense_reference.solve_lp(big)
+    offered = []  # the bytes of each tableau offered a phase 1, before it
+    add = lp._MEMO.add
+    monkeypatch.setattr(lp._MEMO, "add", lambda key, tableau, links: offered.append(
+        tableau.nbytes) or add(key, tableau, links))
     solve_recorded(big)
     (whole,) = lp._MEMO.tableaux.values()
+    alone = offered[-1]
     small_cold = solve_recorded(small)
     (kept,) = lp._MEMO.tableaux.values()
-    offered = []
-    record = lp._MEMO.record
-    monkeypatch.setattr(lp._MEMO, "record", lambda *args: offered.append(record(*args)))
-    budgets = (whole.nbytes - whole.paths[0].nbytes - 1, whole.nbytes - 1)
+    offered.clear()
+    budgets = (alone - 1, whole.nbytes - 1)
     monkeypatch.setattr(lp, "_MEMO_BYTES", budgets[0])
     assert_same_solution(solve_lp(big), want)  # seen, so from now on it would be recorded
     # the big tableau outgrows the memo alone, so its path is not even
@@ -418,6 +455,20 @@ def _on_threads(work, seeds) -> list:
     return failures
 
 
+def _tree_bytes(node) -> int:
+    """The bytes the nodes of the tree from ``node`` hold, counted afresh."""
+    kids = node.kids
+    return node.held() + sum(_tree_bytes(kids[i]) for i in range(1, len(kids), 2))
+
+
+def _assert_memo_whole(bound: int) -> None:
+    """The memo counts the bytes its tableaux and trees hold, within ``bound``."""
+    tableaux = list(lp._MEMO.tableaux.values())
+    assert tableaux and lp._MEMO.nbytes == sum(t.nbytes for t in tableaux) <= bound
+    for tableau in tableaux:
+        assert tableau.nbytes == tableau.held() + _tree_bytes(tableau.root)
+
+
 def test_solves_on_threads_match_cold_solves():
     rng = np.random.default_rng(5)
     programs = [_degenerate_lp(rng) for _ in range(30)]
@@ -432,51 +483,81 @@ def test_solves_on_threads_match_cold_solves():
 
     failures = _on_threads(solve_all, range(6))
     assert not failures, failures[0]
+    _assert_memo_whole(lp._MEMO_BYTES)
+    # the programs of one tableau grew one tree of several phase 1s
+    assert max(len(_phase1_paths(t.root)) for t in lp._MEMO.tableaux.values()) > 1
 
 
 def test_memo_stays_whole_under_threads(monkeypatch):
-    # tableaux and paths recorded by real solves, recorded again and again
-    # by threads into one memo small enough to evict all the time
+    # tableaux, phase 1s and phase 2s recorded by threads into one memo
+    # small enough to evict all the time
     rng = np.random.default_rng(5)
-    recorded = []
-    for _ in range(40):
-        prog = _degenerate_lp(rng)
-        solve_recorded(prog)
-        recorded += [(key, tableau, np.asarray(prog.eq_matrix, dtype=float),
-                      np.asarray(prog.ub_matrix, dtype=float))
-                     for key, tableau in lp._MEMO.tableaux.items()]
-    # and a phase-1 path carrying three recorded phase-2 paths
+    programs = [_degenerate_lp(rng) for _ in range(40)]
+    programs += [_one_start_lp(costs) for costs in (
+        [-2.0, -2.0, 0.0, 0.0, -2.0, -1.0], [-2.0, 1.0, -2.0, 2.0, 2.0, -2.0],
+        [-2.0, -1.0, -1.0, 2.0, -2.0, -2.0])] * 10
+    want = [solve_cold(prog) for prog in programs]
     lp._MEMO.clear()
-    for costs in ([-2.0, -2.0, 0.0, 0.0, -2.0, -1.0], [-2.0, 1.0, -2.0, 2.0, 2.0, -2.0],
-                  [-2.0, -1.0, -1.0, 2.0, -2.0, -2.0]):
-        prog = _one_start_lp(costs)
-        for _ in range(3):
-            solve_lp(prog)
-    ((key, tableau),) = lp._MEMO.tableaux.items()
-    assert recorded and len(tableau.paths[0].phase2) == 3
-    recorded += [(key, tableau, np.asarray(prog.eq_matrix), np.asarray(prog.ub_matrix))] * 10
     monkeypatch.setattr(lp, "_MEMO_BYTES", 30_000)
-    memo = lp._PathMemo()
 
-    def record_all(seed):
-        rng = np.random.default_rng(seed)
-        for i in rng.integers(0, len(recorded), 3000).tolist():
-            key, tableau, aeq, aub = recorded[i]
-            mine = memo.find(key, aeq, aub) or tableau._replace(paths=())
-            if mine.paths and rng.random() < 0.5:
-                # phase-2 paths put on a stored phase-1 path, as a replay does
-                old = mine.paths[0]
-                memo.replace(key, mine, old, old._replace(phase2=tableau.paths[0].phase2))
-            else:
-                memo.record(key, mine, tableau.paths[0])
+    def solve_all(seed):
+        if seed < 0:  # a watcher: the counts hold whenever the lock is free
+            for _ in range(300):
+                with lp._MEMO.lock:
+                    counts = [t.nbytes for t in lp._MEMO.tableaux.values()]
+                    assert lp._MEMO.nbytes == sum(counts) <= 30_000
+                time.sleep(1e-4)
+            return
+        for i in np.random.default_rng(seed).integers(0, len(programs), 1000).tolist():
+            assert_same_solution(solve_lp(programs[i]), want[i])
 
-    failures = _on_threads(record_all, range(6))
+    failures = _on_threads(solve_all, [-1, *range(6)])
     assert not failures, failures[0]
-    # a lost update would leave the byte count off the tableaux it counts
-    tableaux = list(memo.tableaux.values())
-    assert tableaux and memo.nbytes == sum(t.nbytes for t in tableaux) <= 30_000
-    assert all(1 <= len(t.paths) <= lp._PATHS_PER_TABLEAU for t in tableaux)
-    assert any(path.phase2 for t in tableaux for path in t.paths)
+    # a lost update would leave the byte counts off the trees they count
+    _assert_memo_whole(30_000)
+    assert any(end.kids for t in lp._MEMO.tableaux.values() for end in _ends(t.root))
+
+
+def _ends(node) -> list:
+    """The phase-1 ends of the tree from ``node``."""
+    if type(node) is lp._End:
+        return [node]
+    kids = node.kids
+    return [end for i in range(1, len(kids), 2) for end in _ends(kids[i])]
+
+
+def test_non_integral_program_keeps_float64_storage(replays):
+    rng = np.random.default_rng(19)
+    prog = next(p for p in (random_box_lp(rng, max_vars=6) for _ in range(100))
+                if p.eq_matrix.shape[0] and lp_dense_reference.solve_lp(p).phase1_pivots > 1)
+    want = lp_dense_reference.solve_lp(prog)
+    assert_same_solution(solve_recorded(prog), want)
+    (tableau,) = lp._MEMO.tableaux.values()
+    (end,) = _ends(tableau.root)
+    assert tableau.eq[1].dtype == end.values.dtype == np.float64
+    assert_same_solution(solve_lp(prog), want)
+    assert replays == [True]
+
+
+def test_dispatch_programs_are_stored_in_small_integers(ref_scenario, replays):
+    hs = slice_horizon(ref_scenario, 0, 5)
+    progs = list(_coalition_programs(hs, ref_scenario.storage_init,
+                                     ref_scenario.storage_capacities))
+    grand = progs[-1]
+    want = lp_dense_reference.solve_lp(grand)
+    assert_same_solution(solve_recorded(grand), want)
+    (tableau,) = lp._MEMO.tableaux.values()
+    (end,) = _ends(tableau.root)
+    assert tableau.eq[1].dtype == end.values.dtype == np.int8
+    assert tableau.eq[0].dtype == np.uint16 and end.cells.dtype == np.uint16
+    # every recorded entry is one of the memo's shared floats
+    shared = set(map(id, lp._MEMO.floats.values()))
+    node = tableau.root
+    while type(node) is lp._Column:
+        assert {id(e) for e in node.entries} <= shared
+        node = node.kids[1]
+    assert_same_solution(solve_lp(grand), want)
+    assert replays == [True]
 
 
 # --- phase-2 replay --------------------------------------------------------------
@@ -510,10 +591,27 @@ def _phase2_replayed(solutions) -> list:
     return [sol.phase2_replayed for sol in solutions]
 
 
-def _phase2_paths():
-    (tableau,) = lp._MEMO.tableaux.values()
-    (start,) = tableau.paths
-    return start.phase2
+def _phase2_paths(kids=None, pairs=()) -> list:
+    """The (entering, leaving) pairs of every phase 2 recorded in the tree
+    from ``kids``, by default that of the one phase 1 recorded, in the order
+    they were recorded; an unbounded one ends with its column and -1."""
+    if kids is None:
+        (tableau,) = lp._MEMO.tableaux.values()
+        (pairs_of_phase1,) = _phase1_paths(tableau.root)
+        end = tableau.root
+        for leave in pairs_of_phase1:
+            end = lp._kid(end.kids, leave)
+        kids = end.kids
+    paths = []
+    for i in range(0, len(kids), 2):
+        enter, column = kids[i], kids[i + 1]
+        if not column.kids:
+            paths.append(pairs + ((enter, -1),))
+        for j in range(0, len(column.kids), 2):
+            leave, row = column.kids[j], column.kids[j + 1]
+            paths += _phase2_paths(row.kids, pairs + ((enter, leave),)) or [
+                pairs + ((enter, leave),)]
+    return paths
 
 
 def test_phase2_path_recorded_the_second_time_is_replayed_the_third():
@@ -535,8 +633,8 @@ def test_phase2_replay_switches_paths_where_the_entering_column_differs():
     # the second program follows the first one's path for five pivots, then
     # enters another column, so it is solved on the tableau and recorded
     assert _phase2_replayed(_solved(second, second)) == [0, 0]
-    new, old = _phase2_paths()
-    assert new.pairs[:5] == old.pairs[:5] and new.pairs[5][0] != old.pairs[5][0]
+    old, new = _phase2_paths()
+    assert new[:5] == old[:5] and new[5][0] != old[5][0]
     # each program replays its own path, switching at pivot 5 where it differs
     assert _phase2_replayed(_solved(first, second, first)) == [6, 6, 6]
 
@@ -546,9 +644,9 @@ def test_phase2_replay_switches_paths_where_the_leaving_row_differs():
     first, second = _one_start_lp(costs), _one_start_lp(costs, (1.0, 1.0), (2.0, 4.0, 3.0))
     _seen(first)
     _solved(first, first, second, second)
-    new, old = _phase2_paths()
-    assert new.pairs[:2] == old.pairs[:2]
-    assert new.pairs[2][0] == old.pairs[2][0] and new.pairs[2][1] != old.pairs[2][1]
+    old, new = _phase2_paths()
+    assert new[:2] == old[:2]
+    assert new[2][0] == old[2][0] and new[2][1] != old[2][1]
     assert _phase2_replayed(_solved(first, second, first)) == [8, 5, 8]
 
 
@@ -558,7 +656,7 @@ def test_phase2_replay_stops_where_the_program_is_optimal():
     _seen(long)
     _solved(long, long)
     (path,) = _phase2_paths()
-    assert len(path.pairs) == 7
+    assert len(path) == 7
     # optimal after the first four pivots of the recorded path
     assert _phase2_replayed(_solved(short)) == [4]
 
@@ -583,5 +681,5 @@ def test_phase2_replay_of_an_unbounded_program():
     solutions = _solved(prog, prog, prog)
     assert all(sol.status is LpStatus.UNBOUNDED for sol in solutions)
     (path,) = _phase2_paths()
-    assert len(path.pairs) == 4 and path.pairs[-1][1] == -1
+    assert len(path) == 4 and path[-1][1] == -1
     assert _phase2_replayed(solutions) == [0, 0, 3]
