@@ -28,28 +28,28 @@ over stacked rows, which subtracts them left to right, as a loop would.
 Pivots are often replayed rather than run.  Programs with equal matrices
 (compared by content), bounded variables and negated rows share their
 tableau up to the rhs column, and the memo keeps one prefix tree of the
-pivots recorded on it.  A phase-1 node is a pivot's entering column: its
+pivots recorded on it.  A phase is replayed whole or solved on the
+tableau: a program steps down the tree by its own choices, updating only
+its rhs, as ``rhs[r] - e * (rhs[leave] / p)`` like :func:`_eliminate`,
+and in phase 2 its objective row, as ``obj[j] - e * prow[j]``; where a
+choice has no child it solves the phase on the untouched rows, and its
+pivots join the tree (a phase 2 the second time it is taken).  So the
+tree holds only ratio-tested pivots on unscaled rows that end at an
+optimum, and drive-out pivots, scaled seed rows and unbounded phase 2s
+are never recorded.  A phase-1 node is a pivot's entering column: its
 nonzero rows, those whose entry passes the ratio test first, their
-entries, and a child per leaving row.  A later program replays the tree
-on its rhs alone: at each node it reruns the ratio test, updates each
-row's rhs as ``rhs[r] - e * (rhs[leave] / p)``, as :func:`_eliminate`
-does, and steps to the child of the row that left.  The last child holds
-the pivots that drive artificials out, the rows phase 2 starts from, and
-a phase-2 tree: a child per entering column, then per leaving row, with
-the pivot row's nonzero cells.  Along it a program carries its objective
-row, updated as ``obj[j] - e * prow[j]`` on those cells, for Bland's
-entering choice.  A phase 2 joins the tree the second time it is taken.
-Where a choice has no child, phase 1 is solved on the tableau, or phase
-2 on the rows after the pivots followed, and the new pivots join the
-tree.  The pivots and bits are those of the full solve: an elimination
-updates each column from that column and the pivot column only, so the
-tableau without its rhs column depends on the pivots taken, not on the
-rhs or the objective; equal pivots so far thus give equal phase-1
-entering columns (read off the rhs-free objective row), entries and rows
-eligible to leave, and the carried objective row has the full update's
-nonzero entries (a cell where the pivot row is zero only loses a zero);
-and the rhs and the objective row are updated from nonzero entries only,
-so the signs of zeros never reach a choice.
+entries, and a child per leaving row.  The last node holds the rows
+phase 2 starts from and a phase-2 tree: a child per entering column,
+then per leaving row, with the pivot row's nonzero cells.  The pivots
+and bits are those of the full solve: an elimination updates each column
+from that column and the pivot column only, so the tableau without its
+rhs column depends on the pivots taken, not on the rhs or the objective;
+equal pivots so far thus give equal phase-1 entering columns (read off
+the rhs-free objective row), entries and rows eligible to leave, and the
+carried objective row has the full update's nonzero entries (a cell
+where the pivot row is zero only loses a zero); and the rhs and the
+objective row are updated from nonzero entries only, so the signs of
+zeros never reach a choice.
 
 Stored values convert back to the same doubles.  The matrices and the
 phase-2 rows are kept as nonzero cells (uint8 or uint16 where they fit)
@@ -252,24 +252,23 @@ def _replayed_row(column: "_Column", rhs: list, basis) -> int:
 
 
 def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: list,
-                         entering: list | None = None, pivots_done: int = 0) -> tuple[str, int]:
+                         entering: list | None = None) -> tuple[str, int]:
     """Run Bland-rule pivots until no reduced cost is negative.
 
     ``limit`` is the number of leftmost columns eligible to enter (it
-    excludes the rhs column).  Returns the outcome and the pivot count,
-    the ``pivots_done`` before the call included.  Each pivot's entering
-    column and leaving row are appended to ``pairs``, and so is an
-    unbounded column, with -1; the rows nonzero in its entering column and
-    their entries go to ``entering``, when given (not in phase 2: holding
-    every pivot's arrays to the end of the solve slows the reference day's
-    phase 2 by about 6%).
+    excludes the rhs column).  Returns the outcome and the pivot count.
+    Each pivot's entering column and leaving row are appended to
+    ``pairs``; the rows nonzero in its entering column and their entries
+    go to ``entering``, when given (not in phase 2: holding every pivot's
+    arrays to the end of the solve slows the reference day's phase 2 by
+    about 6%).
     """
     m = t.shape[0] - 1
     obj = t[m, :limit]
     columns = t.T
     rhs = columns[-1]
     max_iter = 2000 + 200 * (m + limit)
-    for pivots in range(pivots_done, max_iter):
+    for pivots in range(max_iter):
         eligible = obj < -PIVOT_TOL
         enter = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[enter]:
@@ -279,14 +278,14 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: li
         entries = column[nz]
         # the objective row is among the nonzero rows, but its entry is
         # negative, so it never passes the ratio test
-        values = rhs.tolist()
-        leave = _leaving_row([(values[r] / e, r) for r, e in zip(nz.tolist(), entries.tolist())
+        leave = _leaving_row([(v / e, r) for r, v, e in zip(nz.tolist(), rhs[nz].tolist(),
+                                                             entries.tolist())
                               if e > PIVOT_TOL], basis)
+        if leave < 0:
+            return "unbounded", pivots
         pairs.append((enter, leave))
         if entering is not None:
             entering.append((nz, entries))
-        if leave < 0:
-            return "unbounded", pivots
         _eliminate(t, basis, leave, enter, nz, entries)
     raise ArithmeticError("simplex iteration limit exceeded")
 
@@ -387,49 +386,45 @@ class _Row(_Node):
 
 
 class _End(_Node):
-    """The end of a recorded phase 1: the ``drive`` pivots that drive
-    artificials out, as (leaving row, :class:`_Column`); the tableau of the
-    rows phase 2 keeps, those whose basic column is a real one, without the
-    rhs and the objective row, as ``values`` at the flat positions
-    ``cells``; and phase-2 children by entering column."""
+    """The optimum of a recorded phase 1: the tableau of the rows phase 2
+    keeps, those whose basic column is a real one, without the rhs and the
+    objective row, as ``values`` at the flat positions ``cells``; and
+    phase-2 children by entering column."""
 
-    __slots__ = ("drive", "cells", "values", "kids")
+    __slots__ = ("cells", "values", "kids")
 
-    def __init__(self, drive: tuple, t2: np.ndarray):
+    def __init__(self, t2: np.ndarray):
         cell_rows, cell_cols = t2[:-1, :-1].nonzero()
-        self.drive, self.kids = drive, ()
+        self.kids = ()
         self.cells, self.values = _compact(cell_rows * t2.shape[1] + cell_cols,
                                            t2[cell_rows, cell_cols])
 
     def held(self) -> int:
-        return (_held(self, self.drive, *self.drive, self.cells, self.values, self.kids)
-                + sum(column.held() for _, column in self.drive))
+        return _held(self, self.cells, self.values, self.kids)
 
 
 class _Tableau:
-    """What every program of one memo key shares before phase 1: the
-    matrices' nonzeros, for the content check; the rows divided by their
-    seed pivot and those pivots; the crash basis; the artificial rows, in
-    the order the phase-1 objective row subtracts them; the ``root`` of the
-    tree of recorded pivots; each distinct tuple of indices and of floats
-    its nodes hold, once, apart (``(1, 2) == (1.0, 2.0)``); and ``nbytes``,
-    about the heap bytes of all of it."""
+    """What every program of one memo key, its seed pivots all 1.0, shares
+    before phase 1: the matrices' nonzeros, for the content check; the
+    crash basis; the artificial rows, in the order the phase-1 objective
+    row subtracts them; the ``root`` of the tree of recorded pivots; each
+    distinct tuple of indices and of floats its nodes hold, once, apart
+    (``(1, 2) == (1.0, 2.0)``); and ``nbytes``, about the heap bytes of all
+    of it."""
 
-    __slots__ = ("eq", "ub", "scaled_rows", "seed_pivots", "basis", "art_rows", "root",
-                 "tuples", "nbytes")
+    __slots__ = ("eq", "ub", "basis", "art_rows", "root", "tuples", "nbytes")
 
-    def __init__(self, aeq: np.ndarray, aub: np.ndarray, scaled: np.ndarray, piv: np.ndarray,
-                 basis: np.ndarray, art_rows: np.ndarray):
+    def __init__(self, aeq: np.ndarray, aub: np.ndarray, basis: np.ndarray,
+                 art_rows: np.ndarray):
         self.eq, self.ub = _nonzeros(aeq), _nonzeros(aub)
-        self.scaled_rows, self.seed_pivots = tuple(scaled.tolist()), _floats(piv.tolist())
         self.basis, self.art_rows = tuple(basis.tolist()), tuple(art_rows.tolist())
         self.root, self.tuples = None, ({}, {})
         self.nbytes = self.held()
 
     def held(self) -> int:
         """About the heap bytes of the tableau without the nodes of its tree."""
-        return _held(self, self.eq, *self.eq, self.ub, *self.ub, self.scaled_rows,
-                     self.seed_pivots, self.basis, self.art_rows) + _stored(*self.tuples)
+        return _held(self, self.eq, *self.eq, self.ub, *self.ub, self.basis,
+                     self.art_rows) + _stored(*self.tuples)
 
 
 def _stored(*tables: dict) -> int:
@@ -445,28 +440,24 @@ def _kid(kids: tuple, choice: int):
     return None
 
 
-def _phase1_chain(tableau: _Tableau, pairs: list, columns: list, ratio_tested: int,
-                  t2: np.ndarray) -> list | None:
+def _phase1_chain(tableau: _Tableau, pairs: list, columns: list, t2: np.ndarray) -> list | None:
     """The pivots ``pairs`` of a phase 1 that ``tableau``'s tree lacks, with
     the ``columns`` they entered, as new nodes ending at the rows ``t2``:
     (owner, choice, node) links, the first where they hang in the tree; or
-    None.  The first ``ratio_tested`` pivots minimize the artificials, the
-    rest drive them out."""
+    None."""
     owner = choice = None
     node, k = tableau.root, 0
-    while node is not None and k < ratio_tested:
+    while node is not None and k < len(pairs):
         owner, choice = node, pairs[k][1]
         node = _kid(owner.kids, choice)
         k += 1
     if node is not None:
         return None
-    drive = tuple((leave, _Column(enter, *column))
-                  for (enter, leave), column in zip(pairs[ratio_tested:], columns[ratio_tested:]))
-    nodes = [_Column(pairs[j][0], *columns[j]) for j in range(k, ratio_tested)]
-    nodes.append(_End(drive, t2))
+    nodes = [_Column(pairs[j][0], *columns[j]) for j in range(k, len(pairs))]
+    nodes.append(_End(t2))
     return [(owner, choice, nodes[0])] + [
         (column, pairs[j][1], node)
-        for j, column, node in zip(range(k, ratio_tested), nodes, nodes[1:])]
+        for j, column, node in zip(range(k, len(pairs)), nodes, nodes[1:])]
 
 
 def _phase2_chain(end: _End, pairs: tuple, shape: tuple) -> list | None:
@@ -480,7 +471,7 @@ def _phase2_chain(end: _End, pairs: tuple, shape: tuple) -> list | None:
         if row is None:
             break
         owner, k, column = row, k + 1, None
-    if k == len(pairs) or (column is not None and pairs[k][1] < 0):
+    if k == len(pairs):
         return None
     t = np.zeros(shape)
     t.reshape(-1)[end.cells] = end.values
@@ -492,8 +483,6 @@ def _phase2_chain(end: _End, pairs: tuple, shape: tuple) -> list | None:
         if j > k or (j == k and column is None):
             column = _Column(enter, nz, t[nz, enter])
             links.append((owner, enter, column))
-        if leave < 0:
-            break
         _eliminate(t, basis, leave, enter, nz, t[nz, enter])
         if j >= k:
             cols = t[leave].nonzero()[0]
@@ -550,14 +539,12 @@ class _PathMemo:
         (owner, choice, _), nodes = links[0], [node for _, _, node in links]
         for link_owner, link_choice, node in links[1:]:
             link_owner.kids = (link_choice, node)
-        parts = nodes + [column for node in nodes if type(node) is _End
-                         for _, column in node.drive]
         with self.lock:
             if owner is not None and (self.tableaux.get(key) is not tableau
                                       or _kid(owner.kids, choice) is not None):
                 return False
             new = ({}, {})
-            for node in parts:
+            for node in nodes:
                 for stored, table, name in zip(tableau.tuples, new, node.shared):
                     values = getattr(node, name)
                     if values not in stored:
@@ -568,7 +555,7 @@ class _PathMemo:
                 return False  # it would push out every other tableau, then itself
             for stored, table in zip(tableau.tuples, new):
                 stored.update(table)
-            for node in parts:
+            for node in nodes:
                 for stored, name in zip(tableau.tuples, node.shared):
                     setattr(node, name, stored[getattr(node, name)])
             if owner is None:
@@ -612,8 +599,6 @@ def _replay(key: tuple, tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.
     """Solve along the recorded tree of ``tableau`` on the rhs ``b``, or
     return None where the ratio test picks a row it has no child for."""
     rhs = b.tolist()
-    for r, p in zip(tableau.scaled_rows, tableau.seed_pivots):
-        rhs[r] /= p
     objective = 0.0  # the phase-1 objective row's rhs, as its ordered reduction
     for r in tableau.art_rows:
         objective -= rhs[r]
@@ -630,39 +615,35 @@ def _replay(key: tuple, tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.
         return None
     if -rhs[-1] > FEAS_TOL:
         return LpSolution(LpStatus.INFEASIBLE, None, None, k, phase1_replayed=k)
-    for leave, column in node.drive:
-        _pivot_rhs(rhs, column.rows, column.entries, leave)
-        basis[leave] = column.enter
 
     keep = [i for i, j in enumerate(basis) if j < ncols]
     t2 = np.zeros((len(keep) + 1, ncols + 1))
     t2.reshape(-1)[node.cells] = node.values
     t2[:-1, -1] = [rhs[i] for i in keep]
-    phase1 = k + len(node.drive)
     solution, pairs = _phase2(t2, np.array([basis[i] for i in keep], dtype=np.intp), c, lo,
-                              phase1, phase1, node.kids)
+                              k, k, node.kids)
     if pairs:
         _MEMO.sight(key, tableau, node, pairs, t2.shape)
     return solution
 
 
-def _follow(kids: tuple, obj: list, rhs: list, basis: list, taken: list) -> str | None:
+def _follow(kids: tuple, obj: list, rhs: list, basis: list) -> int | None:
     """Take phase-2 pivots along the recorded tree from ``kids`` on ``obj``,
-    ``rhs`` and ``basis`` alone, updating them as a full pivot does, and
-    append each pivot's column and leaving row to ``taken``: Bland's choice
-    on ``obj``, then the ratio test's on ``rhs``, whose child holds this
-    program's rows and entries, as the pivots so far fix the tableau.
-    Returns "optimal", "unbounded", or None where a choice has no child."""
+    ``rhs`` and ``basis`` alone, updating them as a full pivot does: Bland's
+    choice on ``obj``, then the ratio test's on ``rhs``, whose child holds
+    this program's rows and entries, as the pivots so far fix the tableau.
+    Returns the number of pivots to the optimum, or None where a choice has
+    no child."""
     # the eligible columns change only where a pivot row is nonzero
     eligible = {j for j, cost in enumerate(obj) if cost < -PIVOT_TOL}
+    pivots = 0
     while eligible:
         enter = min(eligible)
         column = _kid(kids, enter)
         if column is None:
             return None
+        # every recorded column has a row that passes the ratio test
         leave = _replayed_row(column, rhs, basis)
-        if leave < 0:
-            return "unbounded"
         row = _kid(column.kids, leave)
         if row is None:
             return None
@@ -675,18 +656,19 @@ def _follow(kids: tuple, obj: list, rhs: list, basis: list, taken: list) -> str 
             else:
                 eligible.discard(j)
         basis[leave] = enter
-        taken.append((column, leave))
+        pivots += 1
         kids = row.kids
-    return "optimal"
+    return pivots
 
 
 def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
             phase1: int, phase1_replayed: int, kids: tuple) -> tuple[LpSolution, tuple]:
     """Phase 2 on the kept constraint rows of ``t2``, whose last row becomes
-    the reduced costs of the real objective ``c``, followed along the
-    recorded tree from ``kids`` while it holds its pivots.  Returns the
-    solution and the (entering, leaving) pairs of its pivots when some were
-    taken on the tableau's rows, and at most ``_PHASE2_PIVOTS``; else ()."""
+    the reduced costs of the real objective ``c``: followed along the
+    recorded tree from ``kids`` to an optimum, or else solved on ``t2``.
+    Returns the solution and the (entering, leaving) pairs of its pivots
+    when it was solved on ``t2`` to an optimum in at most
+    ``_PHASE2_PIVOTS``; else ()."""
     n = c.size
     ncols = t2.shape[1] - 1
     # reduced costs: the cost row (a zero under the rhs) minus each priced
@@ -700,24 +682,20 @@ def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
     np.multiply(basic_cost[priced, None], t2[priced], out=terms[1:])
     t2[-1] = np.subtract.reduce(terms, axis=0)
 
-    taken = []
     if kids:
         obj, rhs, basis = t2[-1, :ncols].tolist(), t2[:-1, -1].tolist(), basis2.tolist()
-        outcome = _follow(kids, obj, rhs, basis, taken)
-        if outcome is not None:
-            return _solution(outcome, c, lo, ncols, basis, rhs, phase1, len(taken),
-                             phase1_replayed, len(taken)), ()
-        # no child for a choice: the pivots so far, taken on the rows, give
-        # the tableau the full solve has here, and the objective row is carried
-        t2[-1, :ncols] = obj
-        for column, leave in taken:
-            _eliminate(t2[:-1], basis2, leave, column.enter, np.array(column.rows),
-                       np.array(column.entries))
-    pairs = [(column.enter, leave) for column, leave in taken]
-    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols, pairs, None, len(pairs))
+        followed = _follow(kids, obj, rhs, basis)
+        if followed is not None:
+            return _solution("optimal", c, lo, ncols, basis, rhs, phase1, followed,
+                             phase1_replayed, followed), ()
+        # no child for a choice: the pivots followed so far touched lists
+        # alone, so phase 2 starts over on the rows and reduced costs
+    pairs = []
+    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols, pairs)
     solution = _solution(outcome, c, lo, ncols, basis2, t2[:-1, -1], phase1, phase2,
                          phase1_replayed, 0)
-    return solution, tuple(pairs) if len(pairs) <= _PHASE2_PIVOTS else ()
+    recorded = outcome == "optimal" and phase2 <= _PHASE2_PIVOTS
+    return solution, tuple(pairs) if recorded else ()
 
 
 def _solution(outcome: str, c: np.ndarray, lo: np.ndarray, ncols: int, basis, rhs,
@@ -826,8 +804,10 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     basis[art_rows] = art_cols
 
     phase1 = 0
-    # a tableau is recorded by the second program that has it
-    recording = nart and (tableau or _MEMO.seen_before(key, aeq.tobytes(), aub.tobytes()))
+    # a tableau is recorded by the second program that has it, unless a
+    # seed row was scaled, which a replay of the rhs alone does not do
+    recording = nart and not scaled.size and (
+        tableau or _MEMO.seen_before(key, aeq.tobytes(), aub.tobytes()))
     if nart:
         crash_basis = basis.copy()
         # phase 1: minimize the sum of artificial variables; the objective
@@ -842,19 +822,16 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
             raise ArithmeticError("phase-1 simplex reported an unbounded ray")
         if -t[m, -1] > FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, None, None, phase1)
-        ratio_tested = phase1
         # drive artificials still basic (at zero) out where a real column can
-        # replace them; a pivot only changes the basis of its own row
+        # replace them; a pivot only changes the basis of its own row.  A
+        # replay has no such pivots, so this phase 1 is not recorded
         for i in (basis >= ncols).nonzero()[0]:
             nz = (np.abs(t[i, :ncols]) > PIVOT_TOL).nonzero()[0]
             if nz.size:
                 j = int(nz[0])
                 rows = t[:, j].nonzero()[0]
-                entries = t[rows, j]
-                _eliminate(t, basis, i, j, rows, entries)
-                pairs.append((j, int(i)))
-                if recording:
-                    columns.append((rows, entries))
+                _eliminate(t, basis, i, j, rows, t[rows, j])
+                recording = False
                 phase1 += 1
 
     # phase 2 drops the artificial columns, moving the rhs into the first
@@ -869,11 +846,11 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         basis2 = basis[keep]
     end = None
     if recording:
-        tableau = tableau or _Tableau(aeq, aub, scaled, piv, crash_basis, art_rows)
+        tableau = tableau or _Tableau(aeq, aub, crash_basis, art_rows)
         # a stored tableau fits the memo; a new one that does not is not
         # recorded; and the rows are recorded before phase 2 pivots on them
         if tableau.root is not None or tableau.nbytes <= _MEMO_BYTES:
-            chain = _phase1_chain(tableau, pairs, columns, ratio_tested, t2)
+            chain = _phase1_chain(tableau, pairs, columns, t2)
             if chain is not None and _MEMO.add(key, tableau, chain):
                 end = chain[-1][2]  # phase 2s hang only on ends in the tree
     solution, pairs = _phase2(t2, basis2, c, lo, phase1, 0, ())

@@ -386,3 +386,40 @@ def test_every_pivot_of_a_reference_step_is_one_or_minus_one(ref_scenario, monke
     # may be negative
     assert len(pivots) > 10_000
     assert set(pivots) <= {-1.0, 1.0}
+
+
+def test_no_program_of_a_reference_step_falls_outside_the_replay_rule(ref_scenario,
+                                                                      monkeypatch):
+    # a replay neither scales a seed row nor drives an artificial out, so a
+    # program that did either would never be recorded
+    phase1_scaled, drive_outs, pivoting = [], [], []
+    pivot_until_optimal, eliminate = lp._pivot_until_optimal, lp._eliminate
+
+    def watched_pivot_until_optimal(t, basis, limit, *args):
+        if limit > ncols:  # phase 1, whose rows are the program's up to sign unless scaled
+            phase1_scaled.append(not np.array_equal(np.abs(t[:rows.shape[0], :rows.shape[1]]),
+                                                    np.abs(rows)))
+        pivoting.append(True)
+        try:
+            return pivot_until_optimal(t, basis, limit, *args)
+        finally:
+            pivoting.pop()
+
+    def watched_eliminate(*args):
+        drive_outs.append(not pivoting)
+        eliminate(*args)
+
+    monkeypatch.setattr(lp, "_pivot_until_optimal", watched_pivot_until_optimal)
+    monkeypatch.setattr(lp, "_eliminate", watched_eliminate)
+    monkeypatch.setattr(lp, "_replay", lambda *args: None)  # every pivot on the tableau
+    hs = slice_horizon(ref_scenario, 0, 5)
+    storage, caps = ref_scenario.storage_init, ref_scenario.storage_capacities
+    for mask in range(1, 256):
+        members = list(coalition_members(mask))
+        prog = build_coalition_lp(hs.select(members), storage[members], caps[members])
+        rows = np.vstack([prog.eq_matrix, prog.ub_matrix])
+        ncols = prog.n_vars + prog.ub_matrix.shape[0] + int(np.isfinite(prog.upper).sum())
+        solve_lp(prog)
+    assert len(phase1_scaled) == 255 and len(drive_outs) > 10_000
+    assert not any(phase1_scaled)
+    assert not any(drive_outs)

@@ -326,7 +326,7 @@ def _phase1_paths(node, leaves=()) -> list:
 
 def test_replay_falls_back_where_the_ratio_test_leaves_the_path(replays):
     first = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
-    second = _shared_tableau_lp([1.0, 2.0], [1.0, 1.0])
+    second = _shared_tableau_lp([1.0, 1.0], [1.0, 2.0])
     cold = [solve_cold(first), solve_cold(second)]
     for prog, want in zip((first, second), cold):
         assert_same_solution(want, lp_dense_reference.solve_lp(prog))
@@ -334,10 +334,10 @@ def test_replay_falls_back_where_the_ratio_test_leaves_the_path(replays):
     assert_same_solution(solve_recorded(first), cold[0])
     assert_same_solution(solve_lp(second), cold[1])
     assert replays == [False]
-    # the second program followed the first one's path for three pivots
+    # the second program followed the first one's path for two pivots
     (tableau,) = lp._MEMO.tableaux.values()
     old, new = _phase1_paths(tableau.root)
-    assert new[:3] == old[:3] and new[3] != old[3]
+    assert new[:2] == old[:2] and new[2] != old[2]
     # with both paths recorded, each program replays its own
     assert_same_solution(solve_lp(first), cold[0])
     assert_same_solution(solve_lp(second), cold[1])
@@ -346,7 +346,7 @@ def test_replay_falls_back_where_the_ratio_test_leaves_the_path(replays):
 
 def test_tree_that_would_outgrow_the_memo_stops_growing(monkeypatch, replays):
     first = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
-    second = _shared_tableau_lp([1.0, 2.0], [1.0, 1.0])
+    second = _shared_tableau_lp([1.0, 1.0], [1.0, 2.0])
     cold = [solve_cold(first), solve_cold(second)]
     solve_recorded(first)
     (tableau,) = lp._MEMO.tableaux.values()
@@ -380,9 +380,10 @@ def test_matrix_changed_in_place_is_not_replayed(replays):
 
 def test_infeasible_program_replays_a_feasible_path(replays):
     def program(b):
-        # x0 + x1 = b and x0 + x1 <= 1: at b = 1 the ratio test ties, and
-        # Bland's rule makes the <= row leave, as at b = 2, which is infeasible
-        return make_program([1.0, 1.0], [[1.0, 1.0]], [b], [[1.0, 1.0]], [1.0])
+        # x0 + x1 = 1 and x0 + x1 = b: at b = 1 the ratio test ties, and
+        # Bland's rule makes row 0 leave, as at b = 2, which is infeasible;
+        # at b = 1 row 1 is redundant, so no artificial is driven out
+        return make_program([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, b])
 
     feasible, infeasible = program(1.0), program(2.0)
     want = lp_dense_reference.solve_lp(infeasible)
@@ -594,7 +595,7 @@ def _phase2_replayed(solutions) -> list:
 def _phase2_paths(kids=None, pairs=()) -> list:
     """The (entering, leaving) pairs of every phase 2 recorded in the tree
     from ``kids``, by default that of the one phase 1 recorded, in the order
-    they were recorded; an unbounded one ends with its column and -1."""
+    they were recorded."""
     if kids is None:
         (tableau,) = lp._MEMO.tableaux.values()
         (pairs_of_phase1,) = _phase1_paths(tableau.root)
@@ -605,8 +606,6 @@ def _phase2_paths(kids=None, pairs=()) -> list:
     paths = []
     for i in range(0, len(kids), 2):
         enter, column = kids[i], kids[i + 1]
-        if not column.kids:
-            paths.append(pairs + ((enter, -1),))
         for j in range(0, len(column.kids), 2):
             leave, row = column.kids[j], column.kids[j + 1]
             paths += _phase2_paths(row.kids, pairs + ((enter, leave),)) or [
@@ -673,13 +672,52 @@ def test_phase2_replay_past_the_end_of_its_path_is_solved_on_the_tableau():
     assert _phase2_replayed(_solved(long, long)) == [0, 7]
 
 
-def test_phase2_replay_of_an_unbounded_program():
-    prog = make_program([-1.0, 1.0, -1.0, -1.0],
-                        [[-1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, -1.0]], [2.0, 3.0],
-                        [[0.0, -1.0, 2.0, 1.0]], [4.0])
-    _seen(prog)
-    solutions = _solved(prog, prog, prog)
-    assert all(sol.status is LpStatus.UNBOUNDED for sol in solutions)
-    (path,) = _phase2_paths()
-    assert len(path) == 4 and path[-1][1] == -1
-    assert _phase2_replayed(solutions) == [0, 0, 3]
+def test_phase2_that_leaves_the_tree_is_solved_on_its_rows(monkeypatch):
+    first = _one_start_lp([-2.0, -2.0, 0.0, 0.0, -2.0, -1.0])
+    second = _one_start_lp([-2.0, 1.0, -2.0, 2.0, 2.0, -2.0])
+    cold = solve_cold(second)
+    _seen(first)
+    _solved(first, first)
+    rhs_updates = []  # the replayed phase-1 pivots and the followed phase-2 pivots
+    pivot_rhs = lp._pivot_rhs
+    monkeypatch.setattr(lp, "_pivot_rhs", lambda *args: rhs_updates.append(args[3]) or
+                        pivot_rhs(*args))
+    for _ in range(2):
+        rhs_updates.clear()
+        solution = solve_lp(second)
+        assert_same_solution(solution, cold)
+        # phase 1 replayed, then five recorded phase-2 pivots followed before
+        # the tree had no child; phase 2 was then solved on the rows whole
+        assert len(rhs_updates) == solution.phase1_replayed + 5
+        assert solution.phase2_replayed == 0
+    # taken twice, the phase 2 joined the tree, and the next solve replays it
+    old, new = _phase2_paths()
+    assert new[:5] == old[:5] and new[5] != old[5]
+    solution = solve_lp(second)
+    assert_same_solution(solution, cold)
+    assert solution.phase2_replayed == solution.phase2_pivots == len(new)
+
+
+@pytest.mark.parametrize("prog, phase1_recorded", [
+    # x0 + x1 = 1 and x0 + x1 <= 1 tie, and the <= row leaves: the
+    # artificial stays basic at zero and is driven out
+    (make_program([1.0, 1.0], [[1.0, 1.0]], [1.0], [[1.0, 1.0]], [1.0]), False),
+    # x2 seeds row 0 with a pivot of 2.0, which scales the row
+    (make_program([1.0, 1.0, 0.0], [[1.0, 1.0, 2.0], [1.0, -1.0, 0.0]], [4.0, 1.0]), False),
+    # phase 1 ends at an optimum and is recorded; phase 2 is unbounded
+    (make_program([-1.0, 1.0, -1.0, -1.0], [[-1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, -1.0]],
+                  [2.0, 3.0], [[0.0, -1.0, 2.0, 1.0]], [4.0]), True),
+], ids=["drive-out", "scaled-seed-row", "unbounded-phase-2"])
+def test_phase_outside_the_replay_rule_is_not_recorded(prog, phase1_recorded, replays):
+    want = lp_dense_reference.solve_lp(prog)
+    assert want.phase1_pivots > 0
+    solve_recorded(prog)  # a phase 1 inside the rule is recorded by now
+    nbytes = lp._MEMO.nbytes
+    assert (nbytes > 0) == phase1_recorded
+    replays.clear()
+    solutions = [solve_lp(prog) for _ in range(3)]
+    for solution in solutions:
+        assert_same_solution(solution, want)
+    assert replays == ([True] * 3 if phase1_recorded else [])
+    assert _phase2_replayed(solutions) == [0, 0, 0]
+    assert lp._MEMO.nbytes == nbytes
