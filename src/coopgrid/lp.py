@@ -55,8 +55,7 @@ Stored values convert back to the same doubles.  The matrices and the
 phase-2 rows are kept as nonzero cells (uint8 or uint16 where they fit)
 and values (int8 where all are integers in [-128, 127], as in the
 dispatch programs): a small integer converts to its double exactly, and
-a nonzero integral double has one bit pattern.  Node entries that are
-such integers share one float per value, and a tableau stores each
+a nonzero integral double has one bit pattern.  A tableau stores each
 distinct tuple of rows or entries once.  The memo holds about
 ``_MEMO_BYTES`` of heap, least recently used tableau first out; a
 tableau that would not fit alone is not stored, and a tree stops growing
@@ -252,27 +251,26 @@ def _replayed_row(column: "_Column", rhs: list, basis) -> int:
 
 
 def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: list,
-                         entering: list | None = None) -> tuple[str, int]:
+                         entering: list | None = None) -> str:
     """Run Bland-rule pivots until no reduced cost is negative.
 
     ``limit`` is the number of leftmost columns eligible to enter (it
-    excludes the rhs column).  Returns the outcome and the pivot count.
-    Each pivot's entering column and leaving row are appended to
-    ``pairs``; the rows nonzero in its entering column and their entries
-    go to ``entering``, when given (not in phase 2: holding every pivot's
-    arrays to the end of the solve slows the reference day's phase 2 by
-    about 6%).
+    excludes the rhs column).  Returns the outcome.  Each pivot's entering
+    column and leaving row are appended to ``pairs``; the rows nonzero in
+    its entering column and their entries go to ``entering``, when given
+    (not in phase 2: holding every pivot's arrays to the end of the solve
+    slows the reference day's phase 2 by about 6%).
     """
     m = t.shape[0] - 1
     obj = t[m, :limit]
     columns = t.T
     rhs = columns[-1]
     max_iter = 2000 + 200 * (m + limit)
-    for pivots in range(max_iter):
+    for _ in range(max_iter):
         eligible = obj < -PIVOT_TOL
         enter = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[enter]:
-            return "optimal", pivots
+            return "optimal"
         column = columns[enter]
         nz = column.nonzero()[0]
         entries = column[nz]
@@ -282,7 +280,7 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: li
                                                              entries.tolist())
                               if e > PIVOT_TOL], basis)
         if leave < 0:
-            return "unbounded", pivots
+            return "unbounded"
         pairs.append((enter, leave))
         if entering is not None:
             entering.append((nz, entries))
@@ -331,19 +329,11 @@ def _holds(mat: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray]) -> bool:
             and np.array_equal(mat.reshape(-1)[cells], values))
 
 
-def _floats(values: list) -> tuple:
-    """Nonzero ``values``, with the memo's float of each integer in [-128, 127]."""
-    shared = _MEMO.floats
-    return tuple([shared.get(v, v) for v in values])
-
-
 def _held(*parts) -> int:
     """About the heap bytes of ``parts``: their own sizes, and those of the
-    floats in the tuples among them that the memo does not share."""
-    shared = _MEMO.floats
+    floats in the tuples among them."""
     return sum(map(sys.getsizeof, parts)) + 24 * sum(
-        type(v) is float and v not in shared
-        for part in parts if type(part) is tuple for v in part)
+        type(v) is float for part in parts if type(part) is tuple for v in part)
 
 
 class _Node:
@@ -371,7 +361,7 @@ class _Column(_Node):
         order = sorted(range(len(rows)), key=lambda i: not entries[i] > PIVOT_TOL)
         self.enter, self.passing = enter, sum(e > PIVOT_TOL for e in entries)
         self.rows = tuple([rows[i] for i in order])
-        self.entries, self.kids = _floats([entries[i] for i in order]), ()
+        self.entries, self.kids = tuple([entries[i] for i in order]), ()
 
 
 class _Row(_Node):
@@ -382,7 +372,7 @@ class _Row(_Node):
     shared = ("cols", "values")
 
     def __init__(self, cols: np.ndarray, values: np.ndarray):
-        self.cols, self.values, self.kids = tuple(cols.tolist()), _floats(values.tolist()), ()
+        self.cols, self.values, self.kids = tuple(cols.tolist()), tuple(values.tolist()), ()
 
 
 class _End(_Node):
@@ -401,6 +391,13 @@ class _End(_Node):
 
     def held(self) -> int:
         return _held(self, self.cells, self.values, self.kids)
+
+    def rows(self, shape: tuple) -> np.ndarray:
+        """The recorded rows in a tableau of ``shape`` whose rhs column and
+        objective row are zeros."""
+        t = np.zeros(shape)
+        t.reshape(-1)[self.cells] = self.values
+        return t
 
 
 class _Tableau:
@@ -473,9 +470,7 @@ def _phase2_chain(end: _End, pairs: tuple, shape: tuple) -> list | None:
         owner, k, column = row, k + 1, None
     if k == len(pairs):
         return None
-    t = np.zeros(shape)
-    t.reshape(-1)[end.cells] = end.values
-    t = t[:-1, :-1]
+    t = end.rows(shape)[:-1, :-1]
     basis = np.empty(shape[0] - 1, dtype=np.intp)
     links = []
     for j, (enter, leave) in enumerate(pairs):
@@ -501,7 +496,6 @@ class _PathMemo:
         self.nbytes = 0
         self.seen: OrderedDict[int, None] = OrderedDict()
         self.lock = threading.Lock()
-        self.floats = {float(v): float(v) for v in range(-128, 128) if v}
 
     def clear(self) -> None:
         with self.lock:
@@ -594,10 +588,11 @@ def _pivot_rhs(rhs: list, rows: list, entries: list, leave: int) -> None:
     rhs[leave] = q
 
 
-def _replay(key: tuple, tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.ndarray,
-            ncols: int) -> LpSolution | None:
-    """Solve along the recorded tree of ``tableau`` on the rhs ``b``, or
-    return None where the ratio test picks a row it has no child for."""
+def _replay(tableau: _Tableau, b: np.ndarray, ncols: int) -> tuple | LpSolution | None:
+    """Phase 1 along the recorded tree of ``tableau`` on the rhs ``b``: the
+    phase-2 rows (an objective row of zeros), their basis, the pivot count
+    and the :class:`_End` reached; an infeasible solution; or None where
+    the ratio test picks a row the tree has no child for."""
     rhs = b.tolist()
     objective = 0.0  # the phase-1 objective row's rhs, as its ordered reduction
     for r in tableau.art_rows:
@@ -617,14 +612,9 @@ def _replay(key: tuple, tableau: _Tableau, b: np.ndarray, c: np.ndarray, lo: np.
         return LpSolution(LpStatus.INFEASIBLE, None, None, k, phase1_replayed=k)
 
     keep = [i for i, j in enumerate(basis) if j < ncols]
-    t2 = np.zeros((len(keep) + 1, ncols + 1))
-    t2.reshape(-1)[node.cells] = node.values
+    t2 = node.rows((len(keep) + 1, ncols + 1))
     t2[:-1, -1] = [rhs[i] for i in keep]
-    solution, pairs = _phase2(t2, np.array([basis[i] for i in keep], dtype=np.intp), c, lo,
-                              k, k, node.kids)
-    if pairs:
-        _MEMO.sight(key, tableau, node, pairs, t2.shape)
-    return solution
+    return t2, np.array([basis[i] for i in keep], dtype=np.intp), k, node
 
 
 def _follow(kids: tuple, obj: list, rhs: list, basis: list) -> int | None:
@@ -691,10 +681,10 @@ def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
         # no child for a choice: the pivots followed so far touched lists
         # alone, so phase 2 starts over on the rows and reduced costs
     pairs = []
-    outcome, phase2 = _pivot_until_optimal(t2, basis2, ncols, pairs)
-    solution = _solution(outcome, c, lo, ncols, basis2, t2[:-1, -1], phase1, phase2,
+    outcome = _pivot_until_optimal(t2, basis2, ncols, pairs)
+    solution = _solution(outcome, c, lo, ncols, basis2, t2[:-1, -1], phase1, len(pairs),
                          phase1_replayed, 0)
-    recorded = outcome == "optimal" and phase2 <= _PHASE2_PIVOTS
+    recorded = outcome == "optimal" and len(pairs) <= _PHASE2_PIVOTS
     return solution, tuple(pairs) if recorded else ()
 
 
@@ -754,106 +744,108 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     # the matrices, the bounded variables and the negated rows fix the
     # tableau up to its rhs column
     key = (n, aeq.shape, aub.shape, bounded.tobytes(), negative.tobytes())
+    # phase 1 is replayed along the recorded tree or solved on the tableau;
+    # either way one phase 2 starts from its rows
     tableau = _MEMO.find(key, aeq, aub)
-    if tableau is not None:
-        solution = _replay(key, tableau, b, c, lo, ncols)
-        if solution is not None:
-            return solution
+    start = None if tableau is None else _replay(tableau, b, ncols)
+    if type(start) is LpSolution:  # infeasible
+        return start
+    if start is not None:
+        t2, basis2, phase1, end = start
+    else:
+        # one buffer holds both phases' tableaux, so neither the constraint rows
+        # nor the phase-2 rows are copied into a fresh array: m constraint rows
+        # and the objective row; the real columns, room for up to m artificial
+        # columns and the rhs column, which moves next to the artificials once
+        # their number is known
+        full = np.zeros((m + 1, ncols + m + 1))
+        a = full[:m, :ncols]
+        if me:
+            a[:me, :n] = aeq
+        if mu:
+            a[me:me + mu, :n] = aub
+        # the slack columns of the <= rows and of the bound rows are one
+        # identity block, the diagonal that starts at (me, n)
+        width = full.shape[1]
+        full.reshape(-1)[me * width + n::width + 1][:mu + nb] = 1.0
+        a[np.arange(me + mu, m), bounded] = 1.0
+        if negative.size:
+            a[negative] = -a[negative]
 
-    # one buffer holds both phases' tableaux, so neither the constraint rows
-    # nor the phase-2 rows are copied into a fresh array: m constraint rows
-    # and the objective row; the real columns, room for up to m artificial
-    # columns and the rhs column, which moves next to the artificials once
-    # their number is known
-    full = np.zeros((m + 1, ncols + m + 1))
-    a = full[:m, :ncols]
-    if me:
-        a[:me, :n] = aeq
-    if mu:
-        a[me:me + mu, :n] = aub
-    # the slack columns of the <= rows and of the bound rows are one
-    # identity block, the diagonal that starts at (me, n)
-    width = full.shape[1]
-    full.reshape(-1)[me * width + n::width + 1][:mu + nb] = 1.0
-    a[np.arange(me + mu, m), bounded] = 1.0
-    if negative.size:
-        a[negative] = -a[negative]
+        # crash basis: any column whose only nonzero entry is positive can seed
+        # its row's basis after scaling that row (slack columns are the common
+        # case, one-sided flow variables the useful one); in each row the
+        # smallest such column wins, and the other rows get artificials.  In
+        # the dispatch programs every seed pivot is already 1.0
+        seeds = a > 0.0
+        seeds &= (a != 0.0).sum(axis=0) == 1
+        basis = np.where(seeds.any(axis=1), seeds.argmax(axis=1), -1)
+        seeded = (basis >= 0).nonzero()[0]
+        piv = a[seeded, basis[seeded]]
+        scale = piv != 1.0
+        scaled, piv = seeded[scale], piv[scale]
+        if scaled.size:
+            b[scaled] /= piv
+            a[scaled, :] /= piv[:, None]
+        art_rows = (basis == -1).nonzero()[0]
+        nart = art_rows.size
 
-    # crash basis: any column whose only nonzero entry is positive can seed
-    # its row's basis after scaling that row (slack columns are the common
-    # case, one-sided flow variables the useful one); in each row the
-    # smallest such column wins, and the other rows get artificials.  In
-    # the dispatch programs every seed pivot is already 1.0
-    seeds = a > 0.0
-    seeds &= (a != 0.0).sum(axis=0) == 1
-    basis = np.where(seeds.any(axis=1), seeds.argmax(axis=1), -1)
-    seeded = (basis >= 0).nonzero()[0]
-    piv = a[seeded, basis[seeded]]
-    scale = piv != 1.0
-    scaled, piv = seeded[scale], piv[scale]
-    if scaled.size:
-        b[scaled] /= piv
-        a[scaled, :] /= piv[:, None]
-    art_rows = (basis == -1).nonzero()[0]
-    nart = art_rows.size
+        t = full[:, :ncols + nart + 1]
+        t[:m, -1] = b
+        art_cols = ncols + np.arange(nart)
+        t[art_rows, art_cols] = 1.0
+        basis[art_rows] = art_cols
 
-    t = full[:, :ncols + nart + 1]
-    t[:m, -1] = b
-    art_cols = ncols + np.arange(nart)
-    t[art_rows, art_cols] = 1.0
-    basis[art_rows] = art_cols
+        phase1 = 0
+        # a tableau is recorded by the second program that has it, unless a
+        # seed row was scaled, which a replay of the rhs alone does not do
+        recording = nart and not scaled.size and (
+            tableau or _MEMO.seen_before(key, aeq.tobytes(), aub.tobytes()))
+        if nart:
+            crash_basis = basis.copy()
+            # phase 1: minimize the sum of artificial variables; the objective
+            # row starts as the artificials' costs and subtracts each artificial
+            # row in turn, in one ordered reduction
+            t[m, ncols:ncols + nart] = 1.0
+            t[m] = np.subtract.reduce(t[np.concatenate(([m], art_rows))], axis=0)
+            pairs, columns = [], ([] if recording else None)
+            if _pivot_until_optimal(t, basis, ncols + nart, pairs, columns) == "unbounded":
+                # the phase-1 objective is bounded below by zero
+                raise ArithmeticError("phase-1 simplex reported an unbounded ray")
+            phase1 = len(pairs)
+            if -t[m, -1] > FEAS_TOL:
+                return LpSolution(LpStatus.INFEASIBLE, None, None, phase1)
+            # drive artificials still basic (at zero) out where a real column can
+            # replace them; a pivot only changes the basis of its own row.  A
+            # replay has no such pivots, so this phase 1 is not recorded
+            for i in (basis >= ncols).nonzero()[0]:
+                nz = (np.abs(t[i, :ncols]) > PIVOT_TOL).nonzero()[0]
+                if nz.size:
+                    j = int(nz[0])
+                    rows = t[:, j].nonzero()[0]
+                    _eliminate(t, basis, i, j, rows, t[rows, j])
+                    recording = False
+                    phase1 += 1
 
-    phase1 = 0
-    # a tableau is recorded by the second program that has it, unless a
-    # seed row was scaled, which a replay of the rhs alone does not do
-    recording = nart and not scaled.size and (
-        tableau or _MEMO.seen_before(key, aeq.tobytes(), aub.tobytes()))
-    if nart:
-        crash_basis = basis.copy()
-        # phase 1: minimize the sum of artificial variables; the objective
-        # row starts as the artificials' costs and subtracts each artificial
-        # row in turn, in one ordered reduction
-        t[m, ncols:ncols + nart] = 1.0
-        t[m] = np.subtract.reduce(t[np.concatenate(([m], art_rows))], axis=0)
-        pairs, columns = [], ([] if recording else None)
-        outcome, phase1 = _pivot_until_optimal(t, basis, ncols + nart, pairs, columns)
-        if outcome == "unbounded":
-            # the phase-1 objective is bounded below by zero
-            raise ArithmeticError("phase-1 simplex reported an unbounded ray")
-        if -t[m, -1] > FEAS_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, None, None, phase1)
-        # drive artificials still basic (at zero) out where a real column can
-        # replace them; a pivot only changes the basis of its own row.  A
-        # replay has no such pivots, so this phase 1 is not recorded
-        for i in (basis >= ncols).nonzero()[0]:
-            nz = (np.abs(t[i, :ncols]) > PIVOT_TOL).nonzero()[0]
-            if nz.size:
-                j = int(nz[0])
-                rows = t[:, j].nonzero()[0]
-                _eliminate(t, basis, i, j, rows, t[rows, j])
-                recording = False
-                phase1 += 1
-
-    # phase 2 drops the artificial columns, moving the rhs into the first
-    # one, and the rows still carrying an artificial basic, which are
-    # redundant; its objective row is rebuilt with the real costs
-    keep = (basis < ncols).nonzero()[0]
-    full[:, ncols] = t[:, -1]
-    t2 = full[:, :ncols + 1]
-    basis2 = basis
-    if keep.size < m:
-        t2 = t2[np.append(keep, m)]
-        basis2 = basis[keep]
-    end = None
-    if recording:
-        tableau = tableau or _Tableau(aeq, aub, crash_basis, art_rows)
-        # a stored tableau fits the memo; a new one that does not is not
-        # recorded; and the rows are recorded before phase 2 pivots on them
-        if tableau.root is not None or tableau.nbytes <= _MEMO_BYTES:
+        # phase 2 drops the artificial columns, moving the rhs into the first
+        # one, and the rows still carrying an artificial basic, which are
+        # redundant; its objective row is rebuilt with the real costs
+        keep = (basis < ncols).nonzero()[0]
+        full[:, ncols] = t[:, -1]
+        t2 = full[:, :ncols + 1]
+        basis2 = basis
+        if keep.size < m:
+            t2 = t2[np.append(keep, m)]
+            basis2 = basis[keep]
+        end = None
+        if recording:
+            # the rows are recorded before phase 2 pivots on them
+            tableau = tableau or _Tableau(aeq, aub, crash_basis, art_rows)
             chain = _phase1_chain(tableau, pairs, columns, t2)
             if chain is not None and _MEMO.add(key, tableau, chain):
                 end = chain[-1][2]  # phase 2s hang only on ends in the tree
-    solution, pairs = _phase2(t2, basis2, c, lo, phase1, 0, ())
+    solution, pairs = _phase2(t2, basis2, c, lo, phase1, 0 if start is None else phase1,
+                              () if end is None else end.kids)
     if end is not None and pairs:
         _MEMO.sight(key, tableau, end, pairs, t2.shape)
     return solution

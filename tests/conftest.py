@@ -17,9 +17,9 @@ def replays(monkeypatch):
     replay = lp._replay
 
     def spy(*args):
-        solution = replay(*args)
-        outcomes.append(solution is not None)
-        return solution
+        start = replay(*args)
+        outcomes.append(start is not None)
+        return start
 
     monkeypatch.setattr(lp, "_replay", spy)
     return outcomes

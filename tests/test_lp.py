@@ -417,8 +417,8 @@ def test_tableau_too_big_for_the_memo_is_not_stored(monkeypatch, replays):
     budgets = (alone - 1, whole.nbytes - 1)
     monkeypatch.setattr(lp, "_MEMO_BYTES", budgets[0])
     assert_same_solution(solve_lp(big), want)  # seen, so from now on it would be recorded
-    # the big tableau outgrows the memo alone, so its path is not even
-    # recorded, then only with its path
+    # the big tableau outgrows the memo alone, then only with its path;
+    # either way its path is offered and refused
     for budget in budgets:
         assert kept.nbytes <= budget
         monkeypatch.setattr(lp, "_MEMO_BYTES", budget)
@@ -426,7 +426,7 @@ def test_tableau_too_big_for_the_memo_is_not_stored(monkeypatch, replays):
         # not stored, and nothing pushed out to make room for it
         assert [t is kept for t in lp._MEMO.tableaux.values()] == [True]
         assert lp._MEMO.nbytes == kept.nbytes
-    assert len(offered) == 1
+    assert offered == [alone, alone]
     assert_same_solution(solve_lp(small), small_cold)
     assert replays == [True]
 
@@ -551,11 +551,11 @@ def test_dispatch_programs_are_stored_in_small_integers(ref_scenario, replays):
     (end,) = _ends(tableau.root)
     assert tableau.eq[1].dtype == end.values.dtype == np.int8
     assert tableau.eq[0].dtype == np.uint16 and end.cells.dtype == np.uint16
-    # every recorded entry is one of the memo's shared floats
-    shared = set(map(id, lp._MEMO.floats.values()))
+    # every node holds the tableau's stored tuples
+    rows, entries = tableau.tuples
     node = tableau.root
     while type(node) is lp._Column:
-        assert {id(e) for e in node.entries} <= shared
+        assert node.rows is rows[node.rows] and node.entries is entries[node.entries]
         node = node.kids[1]
     assert_same_solution(solve_lp(grand), want)
     assert replays == [True]

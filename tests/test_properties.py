@@ -1,8 +1,9 @@
 """Property tests over generated worlds and fuzzed scenario documents.
 
 Worlds come from ``generate_synthetic_scenario`` with 1-4 nodes and 1-4
-steps; the horizon, the re-formation period and the loss weight are drawn
-too.  Examples are derandomized, so every run checks the same cases.
+steps (2-5 nodes and 1-6 steps for the pooled-program certificate); the
+horizon, the re-formation period and the loss weight are drawn too.
+Examples are derandomized, so every run checks the same cases.
 """
 
 import json
@@ -12,9 +13,12 @@ from helpers import traces_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopgrid.dispatch import mean_pairwise_distance
+from coopgrid.dispatch import coalition_value, mean_pairwise_distance
 from coopgrid.errors import ScenarioError
-from coopgrid.scenario import generate_synthetic_scenario, load_scenario, serialize_scenario
+from coopgrid.game import coalition_members
+from coopgrid.oracles import pooled_market_cost
+from coopgrid.scenario import (generate_synthetic_scenario, load_scenario, serialize_scenario,
+                               slice_horizon)
 from coopgrid.sim import SimConfig, SimMode, run
 
 seeds = st.integers(0, 10_000)
@@ -77,6 +81,24 @@ def test_one_node_coalitional_run_is_grid_storage(seed, n_steps, horizon, period
     config = _coalitional(horizon, period, rho)
     storage = SimConfig(mode=SimMode.GRID_STORAGE, horizon=horizon)
     assert traces_equal(run(world, config), run(world, storage))
+
+
+@_settings(40)
+@given(seed=seeds, n_nodes=st.integers(2, 5), n_steps=st.integers(1, 6),
+       horizon=st.integers(1, 8), data=st.data())
+def test_pooled_program_certifies_every_market_cost(seed, n_nodes, n_steps, horizon, data):
+    # at every step, from drawn storage levels, each coalition's dispatch
+    # market cost is that of the members pooled into one node
+    world = generate_synthetic_scenario(seed, n_nodes=n_nodes, n_steps=n_steps)
+    fill = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_nodes, max_size=n_nodes))
+    storage = np.array(fill) * world.storage_capacities
+    for k in range(n_steps):
+        window = slice_horizon(world, k, horizon)
+        for mask in range(1, 1 << n_nodes):
+            members = coalition_members(mask)
+            want = coalition_value(members, storage, world, window, 0.0)[0].market_cost
+            got = pooled_market_cost(members, storage, world, window)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (k, members)
 
 
 json_values = st.recursive(
