@@ -171,9 +171,16 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.oracle_check:
-        return _oracle_check()
+    try:
+        return _oracle_check() if args.oracle_check else _simulate(args, modes, rhos)
+    except MemoryError as exc:  # a world or a horizon too large for this machine
+        print(f"runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
+
+def _simulate(args, modes: list[SimMode], rhos: list[float]) -> int:
+    """Load or generate the scenario, run each configuration and write the
+    reports; returns the exit code."""
     # refuse an output path that cannot become a directory before any run starts
     out = Path(args.out)
     blocker = next(p for p in (out, *out.parents) if p.exists())

@@ -33,10 +33,12 @@ tableau: a program steps down the tree by its own choices, updating only
 its rhs, as ``rhs[r] - e * (rhs[leave] / p)`` like :func:`_eliminate`,
 and in phase 2 its objective row, as ``obj[j] - e * prow[j]``; where a
 choice has no child it solves the phase on the untouched rows, and its
-pivots join the tree (a phase 2 the second time it is taken).  So the
-tree holds only ratio-tested pivots on unscaled rows that end at an
-optimum, and drive-out pivots, scaled seed rows and unbounded phase 2s
-are never recorded.  A phase-1 node is a pivot's entering column: its
+pivots join the tree (a phase 2 the second time it is taken).  A phase 1
+that ends infeasible is solved on the tableau too, which records nothing,
+so a replay only ever returns a phase-2 start.  So the tree holds only
+ratio-tested pivots on unscaled rows that end at an optimum, and
+drive-out pivots, scaled seed rows and unbounded phase 2s are never
+recorded.  A phase-1 node is a pivot's entering column: its
 nonzero rows, those whose entry passes the ratio test first, their
 entries, and a child per leaving row.  The last node holds the rows
 phase 2 starts from and a phase-2 tree: a child per entering column,
@@ -241,13 +243,6 @@ def _leaving_row(ratios: list, basis) -> int:
     cut = rmin + 1e-12 * max(1.0, abs(rmin))
     tied = [r for ratio, r in ratios if ratio <= cut]
     return tied[0] if len(tied) == 1 else min(tied, key=basis.__getitem__)
-
-
-def _replayed_row(column: "_Column", rhs: list, basis) -> int:
-    """:func:`_leaving_row` on a recorded column; a lone passing row leaves."""
-    rows, n = column.rows, column.passing
-    return rows[0] if n == 1 else _leaving_row(
-        [(rhs[r] / e, r) for r, e in zip(rows, column.entries[:n])], basis)
 
 
 def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: list,
@@ -580,19 +575,27 @@ class _PathMemo:
 _MEMO = _PathMemo()
 
 
-def _pivot_rhs(rhs: list, rows: list, entries: list, leave: int) -> None:
-    """The rhs column of :func:`_eliminate`, on Python floats."""
+def _replayed_pivot(column: _Column, rhs: list, basis: list) -> int:
+    """Take a recorded pivot on ``rhs`` and ``basis`` alone, entering
+    ``column``: :func:`_leaving_row` (a lone passing row leaves), then the
+    rhs column of :func:`_eliminate` on Python floats, then the basis
+    entry.  Returns the leaving row."""
+    rows, entries, n = column.rows, column.entries, column.passing
+    leave = rows[0] if n == 1 else _leaving_row(
+        [(rhs[r] / e, r) for r, e in zip(rows, entries[:n])], basis)
     q = rhs[leave] / entries[rows.index(leave)]
     for r, e in zip(rows, entries):
         rhs[r] -= e * q
     rhs[leave] = q
+    basis[leave] = column.enter
+    return leave
 
 
-def _replay(tableau: _Tableau, b: np.ndarray, ncols: int) -> tuple | LpSolution | None:
+def _replay(tableau: _Tableau, b: np.ndarray, ncols: int) -> tuple | None:
     """Phase 1 along the recorded tree of ``tableau`` on the rhs ``b``: the
     phase-2 rows (an objective row of zeros), their basis, the pivot count
-    and the :class:`_End` reached; an infeasible solution; or None where
-    the ratio test picks a row the tree has no child for."""
+    and the :class:`_End` reached; or None where the ratio test picks a row
+    the tree has no child for, or where the phase 1 ends infeasible."""
     rhs = b.tolist()
     objective = 0.0  # the phase-1 objective row's rhs, as its ordered reduction
     for r in tableau.art_rows:
@@ -601,15 +604,10 @@ def _replay(tableau: _Tableau, b: np.ndarray, ncols: int) -> tuple | LpSolution 
     basis = list(tableau.basis)
     node, k = tableau.root, 0
     while type(node) is _Column:
-        leave = _replayed_row(node, rhs, basis)
-        _pivot_rhs(rhs, node.rows, node.entries, leave)
-        basis[leave] = node.enter
-        node = _kid(node.kids, leave)
+        node = _kid(node.kids, _replayed_pivot(node, rhs, basis))
         k += 1
-    if node is None:
+    if node is None or -rhs[-1] > FEAS_TOL:
         return None
-    if -rhs[-1] > FEAS_TOL:
-        return LpSolution(LpStatus.INFEASIBLE, None, None, k, phase1_replayed=k)
 
     keep = [i for i, j in enumerate(basis) if j < ncols]
     t2 = node.rows((len(keep) + 1, ncols + 1))
@@ -633,11 +631,9 @@ def _follow(kids: tuple, obj: list, rhs: list, basis: list) -> int | None:
         if column is None:
             return None
         # every recorded column has a row that passes the ratio test
-        leave = _replayed_row(column, rhs, basis)
-        row = _kid(column.kids, leave)
+        row = _kid(column.kids, _replayed_pivot(column, rhs, basis))
         if row is None:
             return None
-        _pivot_rhs(rhs, column.rows, column.entries, leave)
         e = obj[enter]
         for j, v in zip(row.cols, row.values):
             cost = obj[j] = obj[j] - e * v
@@ -645,7 +641,6 @@ def _follow(kids: tuple, obj: list, rhs: list, basis: list) -> int | None:
                 eligible.add(j)
             else:
                 eligible.discard(j)
-        basis[leave] = enter
         pivots += 1
         kids = row.kids
     return pivots
@@ -748,8 +743,6 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     # either way one phase 2 starts from its rows
     tableau = _MEMO.find(key, aeq, aub)
     start = None if tableau is None else _replay(tableau, b, ncols)
-    if type(start) is LpSolution:  # infeasible
-        return start
     if start is not None:
         t2, basis2, phase1, end = start
     else:

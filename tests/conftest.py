@@ -12,7 +12,9 @@ def ref_scenario():
 @pytest.fixture
 def replays(monkeypatch):
     """Each phase-1 replay ``solve_lp`` attempts: True when it followed a
-    recorded path to the end, False when it fell back to a full solve."""
+    recorded path to a feasible end and returned a phase-2 start, False
+    when it fell back to a full solve (a choice the tree has no child for,
+    or a phase 1 that ends infeasible)."""
     outcomes = []
     replay = lp._replay
 

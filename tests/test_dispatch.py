@@ -363,18 +363,19 @@ def test_equality_matrix_is_a_network_matrix():
 
 def test_every_pivot_of_a_reference_step_is_one_or_minus_one(ref_scenario, monkeypatch):
     pivots = []
-    eliminate, pivot_rhs = lp._eliminate, lp._pivot_rhs
+    eliminate, replayed_pivot = lp._eliminate, lp._replayed_pivot
 
     def watched_eliminate(t, basis, row, col, rows, entries):
         pivots.append(float(t[row, col]))
         eliminate(t, basis, row, col, rows, entries)
 
-    def watched_pivot_rhs(rhs, rows, entries, leave):
-        pivots.append(entries[rows.index(leave)])
-        pivot_rhs(rhs, rows, entries, leave)
+    def watched_replayed_pivot(column, rhs, basis):
+        leave = replayed_pivot(column, rhs, basis)
+        pivots.append(column.entries[column.rows.index(leave)])
+        return leave
 
     monkeypatch.setattr(lp, "_eliminate", watched_eliminate)
-    monkeypatch.setattr(lp, "_pivot_rhs", watched_pivot_rhs)
+    monkeypatch.setattr(lp, "_replayed_pivot", watched_replayed_pivot)
     lp._MEMO.clear()
     hs = slice_horizon(ref_scenario, 0, 5)
     storage, caps = ref_scenario.storage_init, ref_scenario.storage_capacities

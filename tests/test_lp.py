@@ -390,8 +390,15 @@ def test_infeasible_program_replays_a_feasible_path(replays):
     assert want.status is LpStatus.INFEASIBLE and want.phase1_pivots == 1
     assert_same_solution(solve_cold(infeasible), want)
     assert_same_solution(solve_recorded(feasible), lp_dense_reference.solve_lp(feasible))
-    assert_same_solution(solve_lp(infeasible), want)
-    assert replays == [True]
+    nbytes = lp._MEMO.nbytes
+    # the replay follows the feasible path to its end, finds the phase 1
+    # infeasible there and returns no start: the tableau solves it, and
+    # records nothing
+    solution = solve_lp(infeasible)
+    assert_same_solution(solution, want)
+    assert solution.phase1_replayed == 0
+    assert replays == [False]
+    assert lp._MEMO.nbytes == nbytes
 
 
 def test_tableau_too_big_for_the_memo_is_not_stored(monkeypatch, replays):
@@ -679,9 +686,9 @@ def test_phase2_that_leaves_the_tree_is_solved_on_its_rows(monkeypatch):
     _seen(first)
     _solved(first, first)
     rhs_updates = []  # the replayed phase-1 pivots and the followed phase-2 pivots
-    pivot_rhs = lp._pivot_rhs
-    monkeypatch.setattr(lp, "_pivot_rhs", lambda *args: rhs_updates.append(args[3]) or
-                        pivot_rhs(*args))
+    replayed_pivot = lp._replayed_pivot
+    monkeypatch.setattr(lp, "_replayed_pivot", lambda *args: rhs_updates.append(args[0]) or
+                        replayed_pivot(*args))
     for _ in range(2):
         rhs_updates.clear()
         solution = solve_lp(second)

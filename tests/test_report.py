@@ -180,6 +180,21 @@ def test_cli_out_through_a_file_is_input_error(tmp_path, capsys, monkeypatch, be
     assert taken.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("name", ["generate_synthetic_scenario", "run"])
+def test_cli_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch, name):
+    # a numpy allocation that fails raises a MemoryError subclass, as a world
+    # or horizon too large for the machine does; this stand-in allocates nothing
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 596. GiB for an array")
+
+    monkeypatch.setattr(cli, name, out_of_memory)
+    out = tmp_path / "out"
+    assert main(["--generate", "--nodes", "2", "--steps", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "runtime error: Unable to allocate 596. GiB for an array\n"
+    assert not out.exists()
+
+
 def test_cli_usage_errors(capsys):
     assert main(["--nope"]) == 1
     assert main(["--generate", "--sweep-rho", "1e-5", "--out", "y"]) == 1

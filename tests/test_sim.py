@@ -141,6 +141,25 @@ def test_pair_scenario_forms_and_settles():
     assert trace.cumulative_costs[0] < 0
 
 
+@pytest.mark.parametrize("rho, blocks, charges", [
+    (0.03, ((0, 1),), (-0.1575, 0.2925)),
+    (1 / 30, ((0,), (1,)), (-0.15, 0.30)),  # a tie goes to the smaller coalitions
+    (0.04, ((0,), (1,)), (-0.15, 0.30)),
+])
+def test_pair_forms_exactly_while_its_loss_is_below_its_saving(rho, blocks, charges):
+    # v({0}) = -3 * 0.05, v({1}) = 3 * 0.1 and v({0, 1}) = rho * 0.5 * 3 ** 2:
+    # the pair saves 0.15 - 4.5 rho, which is positive exactly when rho < 1/30,
+    # and each member's charge is its standalone cost minus half the saving
+    trace = run(surplus_deficit_pair(steps=1),
+                SimConfig(mode=SimMode.COALITIONAL, loss_weight=rho, horizon=1))
+    (res,) = trace.steps
+    assert res.partition.blocks == blocks
+    assert res.coalition_values[0b01] == pytest.approx(-0.15, abs=1e-9)
+    assert res.coalition_values[0b10] == pytest.approx(0.30, abs=1e-9)
+    assert res.coalition_values[0b11] == pytest.approx(4.5 * rho, abs=1e-9)
+    assert res.charges == pytest.approx(charges, abs=1e-9)
+
+
 def test_settle_step_two_member_closed_form():
     partition = Partition.from_blocks([(0, 1)])
     values = {0b01: 0.3, 0b10: -0.15, 0b11: 0.05}
