@@ -1,4 +1,4 @@
-"""Full rolling-horizon study on the bundled scenario (takes about 20 s).
+"""Full rolling-horizon study on the bundled scenario (takes about 1 s).
 
 Runs the three modes of the study (grid only, grid with storage,
 coalitional market at rho=1e-5), prints the per-agent average buyer

@@ -1,7 +1,7 @@
 """Coalitional dispatch and cost-sharing simulator for prosumer microgrids.
 
-A rolling-horizon closed loop prices every coalition of prosumers with a
-linear dispatch program, splits coalition costs with Shapley shares,
+A rolling-horizon closed loop prices every coalition of prosumers by its
+least-cost dispatch plan, splits coalition costs with Shapley shares,
 forms a partition from individual preferences, settles realized per-agent
 charges, and reports the implied internal-market prices.
 """

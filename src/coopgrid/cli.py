@@ -19,8 +19,8 @@ from .formation import optimal_structure
 from .game import MAX_SWEEP_AGENTS, shapley_value
 from .lp import LpStatus, solve_lp
 from .oracles import (best_partition_by_enumeration, brute_force_lp,
-                      permutation_shapley, pooled_market_cost, random_box_lp,
-                      random_cost_game)
+                      lexicographic_pooled_levels, permutation_shapley,
+                      pooled_market_cost, random_box_lp, random_cost_game)
 from .report import trace_label, write_reports
 from .scenario import (generate_synthetic_scenario, load_scenario,
                        reference_scenario, slice_horizon)
@@ -122,13 +122,24 @@ def _oracle_check() -> int:
     ref = reference_scenario()
     window = slice_horizon(ref, 0, SimConfig().horizon)
     members = tuple(range(ref.n_nodes))
-    want = coalition_value(members, ref.storage_init, ref, window, 0.0)[0].market_cost
+    plan = coalition_value(members, ref.storage_init, ref, window, 0.0)[1]
+    want = plan.market_cost
     got = pooled_market_cost(members, ref.storage_init, ref, window)
     if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):
         print(f"oracle-check FAIL: pooled market cost {got} vs grand coalition {want}")
         return EXIT_RUNTIME
     print("oracle-check: pooled program matches the grand coalition's market cost "
           "at reference step 0")
+
+    caps = ref.storage_capacities
+    money, least = lexicographic_pooled_levels(window, ref.storage_init, caps)
+    gap = float(np.max(np.abs(plan.storage_level.sum(axis=0) - least)))
+    if not (gap <= 1e-9 * caps.sum() and abs(money - want) <= 1e-9 * max(1.0, abs(want))):
+        print(f"oracle-check FAIL: grand coalition's levels are {gap} from the "
+              f"lexicographic plan's, market cost {want} vs {money}")
+        return EXIT_RUNTIME
+    print("oracle-check: the grand coalition's plan at reference step 0 is the "
+          "lexicographic least-cost plan of the per-member program")
     return EXIT_OK
 
 

@@ -1,28 +1,33 @@
-"""The dispatch program that prices a coalition of prosumers.
+"""The dispatch plans that price a coalition of prosumers.
 
-One linear program serves every coalition.  Per member and horizon step
-the decision variables are the storage increment, the resulting storage
-level, and the energy bought from / sold to the grid.  With two or more
-members each member also buys from / sells to the coalition, and those
-internal-market flows are tied together by a zero-sum balance per step;
-a coalition of one has no internal market and trades with the grid only.
-Internal transfers carry no price in the objective; a tiny volume
-regularizer picks the minimum-circulation optimum so transfer-dependent
-loss costs are well defined.  Transfer losses are charged after the fact
-as ``loss_weight * mean_pair_distance * sum(coal_buy^2)`` and added to
-the market cost to price a coalition in ``coalition_value``.
+A coalition of one is priced by its linear program: per horizon step the
+decision variables are the storage increment, the resulting storage
+level, and the energy bought from / sold to the grid.  A coalition of two
+or more members is priced by an exact recursion on the members pooled
+into one node, whose lexicographically smallest least-cost plan is split
+among the members by capacity share (``_pooled_dispatch``; MODEL.md
+sections 2 and 5).  Its linear program, where each member also buys from
+/ sells to the coalition and those internal-market flows are tied
+together by a zero-sum balance per step, is the second formulation that
+tests and ``--oracle-check`` compare the recursion with.  Internal
+transfers carry no price in that program; a tiny volume regularizer picks
+the minimum-circulation optimum.  Transfer losses are charged after the
+fact as ``loss_weight * mean_pair_distance * sum(coal_buy^2)`` on the
+plan and added to the market cost to price a coalition in
+``coalition_value``.
 
-A run prices thousands of small programs, and their equality matrix
-depends only on the member count and the horizon.  So each shape's matrix
-is built once, on first use, and every program of that shape shares it
-(the bundled reference day has eight shapes, about 0.5 MB in all).  It is
-marked read-only: ``solve_lp`` only reads it (it copies it into its own
-tableau, or compares it by content with the matrices of the phase-1 paths
-it recorded), and a write through one program raises instead of changing
-every other program.  The costs, bounds and right-hand sides are filled
-per program, as (member, step, variable) views.  A plan's arrays are
-views of the program's point, and a one-member plan's coalition flows are
-one shared read-only zero array.
+A run solves thousands of small one-member programs, and the equality
+matrix of a program depends only on the member count and the horizon.
+So each shape's matrix is built once, on first use, and every program of
+that shape shares it (the bundled reference day's member counts make
+eight shapes, about 0.5 MB in all; its runs build only the one-member
+shape).  It is marked read-only: ``solve_lp`` only reads it (it copies it
+into its own tableau, or compares it by content with the matrices of the
+phase-1 paths it recorded), and a write through one program raises
+instead of changing every other program.  The costs, bounds and
+right-hand sides are filled per program, as (member, step, variable)
+views.  A program's plan arrays are views of its point, and a one-member
+plan's coalition flows are one shared read-only zero array.
 """
 
 import functools
@@ -41,8 +46,9 @@ TRANSFER_REG = 1e-9
 
 @dataclass
 class DispatchSolution:
-    """Optimal flows for one program; arrays are (n_members, horizon) views
-    of the program's point, to be treated as read-only."""
+    """Least-cost flows of one coalition; arrays are (n_members, horizon),
+    views of the program's point for a program's plan, to be treated as
+    read-only."""
 
     members: tuple[int, ...]
     storage_delta: np.ndarray
@@ -52,6 +58,7 @@ class DispatchSolution:
     coal_buy: np.ndarray
     coal_sell: np.ndarray
     market_cost: float          # grid money only, regularizer stripped
+    programs: int               # linear programs solved for the plan: 1, or 0 when pooled
     phase1_pivots: int          # the program's pivots, as LpSolution counts them
     phase2_pivots: int
     phase1_replayed: int        # those replayed from a recorded path
@@ -110,6 +117,18 @@ def _no_market(horizon: int) -> np.ndarray:
     return zeros
 
 
+def _storage_bounds(ids, storage_init, storage_cap) -> tuple[np.ndarray, np.ndarray]:
+    """The members' levels and capacities as arrays; a level outside
+    ``[0, cap]`` raises ValueError naming the node."""
+    s0 = np.asarray(storage_init, dtype=float).reshape(len(ids))
+    caps = np.asarray(storage_cap, dtype=float).reshape(len(ids))
+    outside = ~((0.0 <= s0) & (s0 <= caps))
+    if outside.any():
+        m = int(outside.argmax())
+        raise ValueError(f"node {ids[m]}: storage_init {s0[m]} outside [0, {caps[m]}]")
+    return s0, caps
+
+
 def build_coalition_lp(slice_: HorizonSlice, storage_init, storage_cap) -> LinearProgram:
     """Market-cost program for the nodes of the slice over its horizon.
 
@@ -128,12 +147,7 @@ def build_coalition_lp(slice_: HorizonSlice, storage_init, storage_cap) -> Linea
     nm = len(ids)
     if nm < 1:
         raise ValueError("coalition needs at least one member")
-    s0 = np.asarray(storage_init, dtype=float).reshape(nm)
-    caps = np.asarray(storage_cap, dtype=float).reshape(nm)
-    outside = ~((0.0 <= s0) & (s0 <= caps))
-    if outside.any():
-        m = int(outside.argmax())
-        raise ValueError(f"node {ids[m]}: storage_init {s0[m]} outside [0, {caps[m]}]")
+    s0, caps = _storage_bounds(ids, storage_init, storage_cap)
     h = slice_.horizon
     aeq = _equality_matrix(nm, h)
     width = 6 if nm > 1 else 4  # variables per member-step
@@ -201,6 +215,7 @@ def solve_coalition_dispatch(slice_: HorizonSlice, storage_init,
         coal_buy=coal_buy,
         coal_sell=coal_sell,
         market_cost=market,
+        programs=1,
         phase1_pivots=solution.phase1_pivots,
         phase2_pivots=solution.phase2_pivots,
         phase1_replayed=solution.phase1_replayed,
@@ -212,6 +227,94 @@ def solve_individual_dispatch(slice_: HorizonSlice, storage_init: float,
                               storage_cap: float) -> DispatchSolution:
     """Grid-only dispatch of one node: the one-member coalition dispatch."""
     return solve_coalition_dispatch(slice_, [storage_init], [storage_cap])
+
+
+def _pooled_dispatch(slice_: HorizonSlice, storage_init, storage_cap) -> DispatchSolution:
+    """Least-cost dispatch of two or more members as one pooled node
+    (MODEL.md section 5), split among the members by capacity share.
+
+    The pooled node has the members' summed need (demand minus generation),
+    capacity C and level, and trades at the step's lowest member buy price
+    p_t and highest member sell price q_t.  Its cost-to-go V_t over the
+    level before step t is convex and piecewise linear on [0, C], kept as
+    segment starts and right slopes; every slope is a price or 0, so every
+    slope comparison is exact.  The forward pass takes the smallest
+    minimizer at each step, which gives the lexicographically smallest
+    least-cost level path.
+    """
+    ids = slice_.node_ids
+    s0, caps = _storage_bounds(ids, storage_init, storage_cap)
+    p = slice_.buy_price.min(axis=0)
+    q = slice_.sell_price.max(axis=0)
+    if (q >= p).any():
+        raise _dispatch_failure(slice_, LpStatus.UNBOUNDED)
+    net = slice_.demand - slice_.generation
+    h = slice_.horizon
+    # summed in member order: numpy reorders sums of eight or more terms
+    capacity = level = 0.0
+    need = [0.0] * h
+    for cap, s, row in zip(caps.tolist(), s0.tolist(), net.tolist()):
+        capacity += cap
+        level += s
+        for t in range(h):
+            need[t] += row[t]
+
+    # backward: a_t and b_t are the smallest levels where V_{t+1}'s right
+    # slope reaches -p_t and -q_t (C if it never does); V_t is V_{t+1}
+    # between them, with rays of slope -p_t below and -q_t above, at the
+    # level less need_t, restricted to [0, C]
+    starts, slopes = [0.0], [0.0]  # V_h = 0
+    targets = [None] * h
+    for t in reversed(range(h)):
+        buy, sell = -float(p[t]), -float(q[t])
+        k = next((i for i, m in enumerate(slopes) if m >= buy), len(slopes))
+        j = next((i for i, m in enumerate(slopes) if m >= sell), len(slopes))
+        a = starts[k] if k < len(slopes) else capacity
+        b = starts[j] if j < len(slopes) else capacity
+        targets[t] = a, b
+        if t:
+            kept = [(x, m) for x, m in zip(starts[k:j], slopes[k:j]) if m > buy]
+            starts, slopes = [0.0], [buy]
+            for x, m in kept + [(b, sell)]:
+                x += need[t]
+                if x <= 0.0:
+                    slopes[0] = m
+                elif x < capacity:
+                    starts.append(x)
+                    slopes.append(m)
+
+    # forward: the smallest minimizer at each step
+    path, bought, sold = [], [], []
+    s = level
+    for t, (a, b) in enumerate(targets):
+        z = s - need[t]  # the level with no grid trade
+        s = b if b < z else max(z, a)
+        path.append(s)
+        bought.append(max(0.0, s - z))
+        sold.append(max(0.0, z - s))
+
+    levels = np.zeros((len(ids), h))
+    if capacity:
+        levels[:] = (caps / capacity)[:, None] * path
+    delta = np.diff(levels, axis=1, prepend=s0[:, None])
+    steps = np.arange(h)
+    grid_buy = np.zeros_like(levels)
+    grid_buy[slice_.buy_price.argmin(axis=0), steps] = bought
+    grid_sell = np.zeros_like(levels)
+    grid_sell[slice_.sell_price.argmax(axis=0), steps] = sold
+    member_need = net + delta + grid_sell - grid_buy
+    return DispatchSolution(
+        members=tuple(ids),
+        storage_delta=delta,
+        storage_level=levels,
+        grid_buy=grid_buy,
+        grid_sell=grid_sell,
+        coal_buy=np.maximum(member_need, 0.0),
+        coal_sell=np.maximum(-member_need, 0.0),
+        market_cost=float((slice_.buy_price * grid_buy
+                           - slice_.sell_price * grid_sell).sum()),
+        programs=0, phase1_pivots=0, phase2_pivots=0, phase1_replayed=0, phase2_replayed=0,
+    )
 
 
 def mean_pairwise_distance(positions) -> float:
@@ -246,8 +349,9 @@ def evaluate_loss_cost(solution: DispatchSolution, mean_distance: float,
 
 def coalition_value(members, storage_levels, scenario: Scenario, slice_: HorizonSlice,
                     loss_weight: float) -> tuple[CoalitionValueBreakdown, DispatchSolution]:
-    """Price a coalition over the step's horizon slice: solve its dispatch
-    and add the transfer-loss cost (0 for one member, who has no internal
+    """Price a coalition over the step's horizon slice: plan its dispatch
+    (one member by its program, two or more by the pooled recursion) and
+    add the transfer-loss cost (0 for one member, who has no internal
     market).  Returns the breakdown and the planned dispatch."""
     members = tuple(sorted(members))
     if not members:
@@ -262,7 +366,7 @@ def coalition_value(members, storage_levels, scenario: Scenario, slice_: Horizon
     if len(members) == 1:
         sol = solve_individual_dispatch(hs, float(storage[members[0]]), float(caps[0]))
         return CoalitionValueBreakdown(sol.market_cost, 0.0, sol.market_cost, 0.0), sol
-    sol = solve_coalition_dispatch(hs, storage[list(members)], caps)
+    sol = _pooled_dispatch(hs, storage[list(members)], caps)
     r_hat = _mean_distance(tuple(tuple(nd.position) for nd in nodes))
     loss = evaluate_loss_cost(sol, r_hat, loss_weight)
     breakdown = CoalitionValueBreakdown(

@@ -9,14 +9,19 @@ growth strings.  They only scale to toy sizes, which is the point.
 The pooled-program oracle shares the LP solver but not the formulation:
 it prices a coalition's grid money on one pooled node instead of the
 per-member dispatch program, so agreement certifies that the coalition
-program's answer is optimal, not merely reproducible.
+program's answer is optimal, not merely reproducible.  The lexicographic
+oracle goes the other way: it finds the least-cost pooled level path on
+the per-member program, which the pooled recursion of
+``dispatch.coalition_value`` never solves.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from .dispatch import build_coalition_lp
 from .lp import LinearProgram, LpSolution, LpStatus, make_program, solve_lp
 from .scenario import HorizonSlice, Scenario
 
@@ -119,6 +124,45 @@ def pooled_market_cost(members, storage, scenario: Scenario, slice_: HorizonSlic
     sol = solve_lp(make_program(cost, aeq, beq, lower=np.zeros(3 * h), upper=upper))
     if sol.status is not LpStatus.OPTIMAL:
         raise ValueError(f"pooled program for {tuple(members)} is {sol.status.value}")
+    return sol.objective_value
+
+
+def lexicographic_pooled_levels(slice_: HorizonSlice, storage_init,
+                                storage_cap) -> tuple[float, list[float]]:
+    """A coalition's least grid money and, among its least-cost plans, the
+    lexicographically smallest path of summed member levels, on the
+    per-member dispatch program.
+
+    ``dispatch.build_coalition_lp`` without its volume regularizer is
+    solved for the least grid money.  Then, with the grid money held at
+    that least and each earlier step's summed level at the least found for
+    it, each step's summed level is minimized in turn: h + 1 programs.
+    The held values are the bounds themselves, so the solver's feasibility
+    tolerance is the only slack; a relative slack of 1e-14 on the grid
+    money makes Bland's rule cycle on some reference coalitions.
+    """
+    problem = build_coalition_lp(slice_, storage_init, storage_cap)
+    shape = (len(slice_.node_ids), slice_.horizon, -1)
+    money = problem.objective.reshape(shape).copy()
+    money[:, :, 4:] = 0.0  # the internal-market flows carry no grid money
+    money = money.reshape(-1)
+    least = _solved(replace(problem, objective=money))
+    rows, bounds, levels = [money], [least], []
+    for t in range(slice_.horizon):
+        summed = np.zeros_like(problem.objective).reshape(shape)
+        summed[:, t, 1] = 1.0  # the members' levels after step t
+        summed = summed.reshape(-1)
+        levels.append(_solved(replace(problem, objective=summed, ub_matrix=np.array(rows),
+                                      ub_rhs=np.array(bounds))))
+        rows.append(summed)
+        bounds.append(levels[-1])
+    return least, levels
+
+
+def _solved(problem: LinearProgram) -> float:
+    sol = solve_lp(problem)
+    if sol.status is not LpStatus.OPTIMAL:
+        raise ValueError(f"lexicographic program is {sol.status.value}")
     return sol.objective_value
 
 

@@ -68,10 +68,11 @@ class StepResult:
     step: all of them when the partition was re-formed, every subset of
     every block otherwise (the singletons in the grid modes).  ``payoffs``
     is the Shapley map when the partition was re-formed.  ``lp_programs``
-    is the number of programs solved to price the step,
-    ``phase1_pivots`` / ``phase2_pivots`` their pivots summed per phase, and
-    ``phase1_replayed`` / ``phase2_replayed`` how many of those the solver
-    replayed from recorded paths.  The counters are kept in memory only.
+    is the number of linear programs solved to price the step (one per
+    one-member coalition), ``phase1_pivots`` / ``phase2_pivots`` their
+    pivots summed per phase, and ``phase1_replayed`` / ``phase2_replayed``
+    how many of those the solver replayed from recorded paths.  The
+    counters are kept in memory only.
     """
 
     step: int
@@ -195,7 +196,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         charges=charges,
         coalition_values={mask: breakdown.total for mask, (breakdown, _) in priced.items()},
         payoffs=pm,
-        lp_programs=len(priced),
+        lp_programs=sum(sol.programs for _, sol in priced.values()),
         phase1_pivots=sum(sol.phase1_pivots for _, sol in priced.values()),
         phase2_pivots=sum(sol.phase2_pivots for _, sol in priced.values()),
         phase1_replayed=sum(sol.phase1_replayed for _, sol in priced.values()),

@@ -92,3 +92,31 @@ def solve_recorded(problem):
     solve_cold(problem)
     return lp.solve_lp(problem)
 
+
+
+def split_pooled_plan(slice_, storage_init, storage_cap, levels, loss_weight,
+                      mean_distance) -> float:
+    """v(S) of a pooled level path, split by the rule of MODEL.md section 5
+    in plain loops: member levels by capacity share, the pooled purchase
+    (sale) by the lowest-id member at the step's lowest buy (highest sell)
+    price, each member's internal purchase the positive part of its need."""
+    nm, h = len(slice_.node_ids), slice_.horizon
+    capacity = sum(float(c) for c in storage_cap)
+    member = [float(s) for s in storage_init]
+    pooled = sum(member)
+    money = squares = 0.0
+    for t in range(h):
+        net = [float(slice_.demand[i, t] - slice_.generation[i, t]) for i in range(nm)]
+        trade = levels[t] - pooled + sum(net)  # bought if positive, sold if negative
+        buy = [float(x) for x in slice_.buy_price[:, t]]
+        sell = [float(x) for x in slice_.sell_price[:, t]]
+        buyer, seller = buy.index(min(buy)), sell.index(max(sell))
+        money += min(buy) * max(trade, 0.0) - max(sell) * max(-trade, 0.0)
+        for i in range(nm):
+            level = float(storage_cap[i]) / capacity * levels[t] if capacity else 0.0
+            need = (net[i] + level - member[i] - (trade if i == buyer and trade > 0 else 0.0)
+                    + (-trade if i == seller and trade < 0 else 0.0))
+            squares += max(need, 0.0) ** 2
+            member[i] = level
+        pooled = levels[t]
+    return money + loss_weight * mean_distance * squares

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import traces_equal
+from helpers import split_pooled_plan, traces_equal
 
 from coopgrid.dispatch import (coalition_value, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
@@ -21,8 +21,8 @@ from coopgrid.formation import enumerate_partitions, optimal_structure, structur
 from coopgrid.game import coalition_members, shapley_value
 from coopgrid.lp import LpStatus, solve_lp
 from coopgrid.oracles import (best_partition_by_enumeration, brute_force_lp,
-                              permutation_shapley, pooled_market_cost, random_box_lp,
-                              random_cost_game)
+                              lexicographic_pooled_levels, permutation_shapley,
+                              pooled_market_cost, random_box_lp, random_cost_game)
 from coopgrid.report import summarize_prices, trace_label
 from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
 from coopgrid.sim import SimConfig, SimMode, run
@@ -317,14 +317,51 @@ def test_pooled_program_certifies_market_cost(ref_scenario, coalition_traces, k)
             f"255 coalitions, worst market-cost gap {worst:.1e}")
 
 
+@pytest.mark.parametrize("k", [0, 8, 16])
+def test_pooled_plan_is_the_lexicographic_least_cost_plan(ref_scenario, coalition_traces, k):
+    # every coalition of two or more members, at the storage state the run
+    # reached, against the per-member program made lexicographic
+    trace = coalition_traces[1e-5]
+    storage = ref_scenario.storage_init if k == 0 else trace.steps[k - 1].storage_after
+    window = slice_horizon(ref_scenario, k, trace.config.horizon)
+    worst_level = worst_value = 0.0
+    for mask in range(1, 1 << ref_scenario.n_nodes):
+        members = coalition_members(mask)
+        if len(members) < 2:
+            continue
+        hs, levels = window.select(members), storage[list(members)]
+        caps = [ref_scenario.nodes[i].storage_capacity for i in members]
+        _, least = lexicographic_pooled_levels(hs, levels, caps)
+        for rho in (1e-5, 5e-3):
+            breakdown, plan = coalition_value(members, storage, ref_scenario, window, rho)
+            gap = float(np.max(np.abs(plan.storage_level.sum(axis=0) - least)))
+            assert gap <= 1e-9 * sum(caps), (members, rho)
+            want = split_pooled_plan(hs, levels, caps, least, rho, breakdown.mean_distance)
+            assert abs(breakdown.total - want) <= 1e-9 * abs(want), (members, rho)
+            worst_level = max(worst_level, gap / sum(caps))
+            worst_value = max(worst_value, abs(breakdown.total - want) / abs(want))
+    _report(f"lexicographic pooled plan (step {k})",
+            f"247 coalitions, worst level gap {worst_level:.1e} of capacity, "
+            f"worst v(S) gap {worst_value:.1e} relative")
+
+
+def test_reference_run_ends_the_day_with_empty_storage(coalition_traces):
+    # past the end of the day the horizon repeats the last step, so buying
+    # at step 16 or later ties; the smallest least-cost level path buys
+    # nothing it does not use
+    assert np.all(coalition_traces[1e-5].final_storage == 0.0)
+
+
 def test_reference_run_lp_counts(coalition_traces):
-    # the programs and per-phase pivots of the reference run at rho = 1e-5:
-    # a change that claims the same pivot path must keep these counts
+    # the coalitions priced, programs solved and per-phase pivots of the
+    # reference run at rho = 1e-5: every coalition is priced at every step,
+    # and only the eight one-member ones are linear programs; a change that
+    # claims the same pivot path must keep these counts
     steps = coalition_traces[1e-5].steps
-    assert all(res.lp_programs == 255 for res in steps)
+    assert all((len(res.coalition_values), res.lp_programs) == (255, 8) for res in steps)
     programs = sum(res.lp_programs for res in steps)
     phase1 = sum(res.phase1_pivots for res in steps)
     phase2 = sum(res.phase2_pivots for res in steps)
-    assert (programs, phase1, phase2) == (4335, 230275, 290930)
+    assert (programs, phase1, phase2) == (136, 1634, 673)
     _report("reference-run LP counts",
             f"{programs} programs, {phase1} phase-1 and {phase2} phase-2 pivots")

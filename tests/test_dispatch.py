@@ -1,3 +1,5 @@
+import re
+
 import dispatch_loop_reference
 import numpy as np
 import pytest
@@ -153,6 +155,20 @@ def test_coalition_value_refuses_a_repeated_member(members):
     repeated = max(set(members), key=members.count)
     with pytest.raises(ValueError, match=f"repeats member {repeated}"):
         coalition_value(members, np.zeros(3), sc, slice_horizon(sc, 0, 3), 1e-5)
+
+
+def test_pooled_coalition_refuses_a_level_outside_capacity():
+    # two or more members are priced without a program, by the same check
+    sc = generate_synthetic_scenario(1, n_nodes=3, n_steps=4)
+    window = slice_horizon(sc, 0, 3)
+    caps = sc.storage_capacities
+    for level in (-1e-3, caps[1] + 1e-3):
+        storage = np.array([0.0, level, 0.0])
+        with pytest.raises(ValueError) as refused:
+            build_coalition_lp(window.select((0, 1)), storage[:2], caps[:2])
+        assert "node 1: storage_init" in str(refused.value)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            coalition_value((0, 1), storage, sc, window, 1e-5)
 
 
 def _all_disjoint_pairs(n):

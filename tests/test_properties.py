@@ -1,7 +1,8 @@
 """Property tests over generated worlds and fuzzed scenario documents.
 
 Worlds come from ``generate_synthetic_scenario`` with 1-4 nodes and 1-4
-steps (2-5 nodes and 1-6 steps for the pooled-program certificate); the
+steps (2-5 nodes and 1-6 steps for the pooled-program certificate and the
+lexicographic plan); the
 horizon, the re-formation period and the loss weight are drawn too.
 Examples are derandomized, so every run checks the same cases.
 """
@@ -9,14 +10,14 @@ Examples are derandomized, so every run checks the same cases.
 import json
 
 import numpy as np
-from helpers import traces_equal
+from helpers import split_pooled_plan, traces_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopgrid.dispatch import coalition_value, mean_pairwise_distance
 from coopgrid.errors import ScenarioError
 from coopgrid.game import coalition_members
-from coopgrid.oracles import pooled_market_cost
+from coopgrid.oracles import lexicographic_pooled_levels, pooled_market_cost
 from coopgrid.scenario import (generate_synthetic_scenario, load_scenario, serialize_scenario,
                                slice_horizon)
 from coopgrid.sim import SimConfig, SimMode, run
@@ -99,6 +100,31 @@ def test_pooled_program_certifies_every_market_cost(seed, n_nodes, n_steps, hori
             want = coalition_value(members, storage, world, window, 0.0)[0].market_cost
             got = pooled_market_cost(members, storage, world, window)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (k, members)
+
+
+@_settings(25)
+@given(seed=seeds, n_nodes=st.integers(2, 5), n_steps=st.integers(1, 6),
+       horizon=st.integers(1, 8), rho=rhos, data=st.data())
+def test_pooled_plan_is_the_lexicographic_least_cost_plan(seed, n_nodes, n_steps, horizon,
+                                                          rho, data):
+    # at a drawn step, from drawn storage levels, each coalition of two or
+    # more members follows the per-member program made lexicographic
+    world = generate_synthetic_scenario(seed, n_nodes=n_nodes, n_steps=n_steps)
+    fill = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_nodes, max_size=n_nodes))
+    storage = np.array(fill) * world.storage_capacities
+    window = slice_horizon(world, data.draw(st.integers(0, n_steps - 1)), horizon)
+    for mask in range(1, 1 << n_nodes):
+        members = coalition_members(mask)
+        if len(members) < 2:
+            continue
+        hs, levels = window.select(members), storage[list(members)]
+        caps = [world.nodes[i].storage_capacity for i in members]
+        _, least = lexicographic_pooled_levels(hs, levels, caps)
+        breakdown, plan = coalition_value(members, storage, world, window, rho)
+        gap = np.max(np.abs(plan.storage_level.sum(axis=0) - least))
+        assert gap <= 1e-9 * sum(caps), members
+        want = split_pooled_plan(hs, levels, caps, least, rho, breakdown.mean_distance)
+        assert abs(breakdown.total - want) <= 1e-9 * abs(want), members
 
 
 json_values = st.recursive(
