@@ -5,16 +5,22 @@ decision variables are the storage increment, the resulting storage
 level, and the energy bought from / sold to the grid.  A coalition of two
 or more members is priced by an exact recursion on the members pooled
 into one node, whose lexicographically smallest least-cost plan is split
-among the members by capacity share (``_pooled_dispatch``; MODEL.md
-sections 2 and 5).  Its linear program, where each member also buys from
-/ sells to the coalition and those internal-market flows are tied
-together by a zero-sum balance per step, is the second formulation that
-tests and ``--oracle-check`` compare the recursion with.  Internal
-transfers carry no price in that program; a tiny volume regularizer picks
-the minimum-circulation optimum.  Transfer losses are charged after the
-fact as ``loss_weight * mean_pair_distance * sum(coal_buy^2)`` on the
-plan and added to the market cost to price a coalition in
-``coalition_value``.
+among the members by capacity share (MODEL.md sections 2 and 5).  The
+coalition's linear program, where each member also buys from / sells to
+the coalition and those internal-market flows are tied together by a
+zero-sum balance per step, is the second formulation that tests and
+``--oracle-check`` compare the recursion with.  Internal transfers carry
+no price in that program; a tiny volume regularizer picks the
+minimum-circulation optimum.  Transfer losses are charged after the fact
+as ``loss_weight * mean_pair_distance * sum(coal_buy^2)`` on the plan and
+added to the market cost.
+
+The recursion prices every subset of two or more members of a block at
+once (``_pooled_subsets``): each subset's pooled inputs are those of the
+subset without its highest member plus that member, so one table per
+input is built by doubling over the members, and both passes run over
+all subsets as padded arrays.  ``game`` prices each block's subsets so;
+``coalition_value`` takes the row of the whole coalition.
 
 A run solves thousands of small one-member programs, and the equality
 matrix of a program depends only on the member count and the horizon.
@@ -229,92 +235,160 @@ def solve_individual_dispatch(slice_: HorizonSlice, storage_init: float,
     return solve_coalition_dispatch(slice_, [storage_init], [storage_cap])
 
 
-def _pooled_dispatch(slice_: HorizonSlice, storage_init, storage_cap) -> DispatchSolution:
-    """Least-cost dispatch of two or more members as one pooled node
-    (MODEL.md section 5), split among the members by capacity share.
+def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: HorizonSlice,
+                    loss_weight: float
+                    ) -> dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]]:
+    """Price every subset of two or more of ``members`` (sorted, distinct)
+    as one pooled node, all subsets at once (MODEL.md sections 2 and 5).
 
-    The pooled node has the members' summed need (demand minus generation),
-    capacity C and level, and trades at the step's lowest member buy price
-    p_t and highest member sell price q_t.  Its cost-to-go V_t over the
-    level before step t is convex and piecewise linear on [0, C], kept as
-    segment starts and right slopes; every slope is a price or 0, so every
-    slope comparison is exact.  The forward pass takes the smallest
-    minimizer at each step, which gives the lexicographically smallest
-    least-cost level path.
+    Returns mask -> ``(breakdown, plan)``, bit i of a mask set for agent i.
+    A subset whose tariffs cross at some step (``q_t >= p_t``) is left out;
+    ``coalition_value`` raises its error.  The members' levels are the
+    caller's to check: every subset holding a member is priced after that
+    member alone, whose program refuses a level outside its capacity.
+
+    Row r of the subset tables holds the members whose bits are set in r
+    (bit j for ``members[j]``).  The rows with bit j as their highest are
+    the rows below 2^j plus member j, so the summed need, capacity and level
+    are the same additions, in member order, as a per-coalition loop makes,
+    and the lowest buy and highest sell price keep their lowest-id holder.
+    Each cost-to-go V_t is kept per row as segment starts and right slopes,
+    padded with starts at C and slopes of +inf; every slope is a price or
+    0, so every slope comparison is exact.  The forward pass takes the
+    smallest minimizer at each step, which gives the lexicographically
+    smallest least-cost level path, with Python's ``max`` tie rules.
     """
-    ids = slice_.node_ids
-    s0, caps = _storage_bounds(ids, storage_init, storage_cap)
-    p = slice_.buy_price.min(axis=0)
-    q = slice_.sell_price.max(axis=0)
-    if (q >= p).any():
-        raise _dispatch_failure(slice_, LpStatus.UNBOUNDED)
-    net = slice_.demand - slice_.generation
-    h = slice_.horizon
-    # summed in member order: numpy reorders sums of eight or more terms
-    capacity = level = 0.0
-    need = [0.0] * h
-    for cap, s, row in zip(caps.tolist(), s0.tolist(), net.tolist()):
-        capacity += cap
-        level += s
-        for t in range(h):
-            need[t] += row[t]
+    ids = tuple(members)
+    hs = slice_.select(ids)
+    net = hs.demand - hs.generation
+    s0 = np.asarray(storage_levels, dtype=float)[list(ids)]
+    caps = np.array([scenario.nodes[i].storage_capacity for i in ids], dtype=float)
+    n, h = len(ids), hs.horizon
+
+    # subset tables, doubled over the members in increasing id
+    size = 1 << n
+    need = np.zeros((size, h))
+    capacity = np.zeros(size)
+    level = np.zeros(size)
+    count = np.zeros(size, dtype=int)
+    p = np.full((size, h), np.inf)   # lowest buy price
+    buyer = np.zeros((size, h), dtype=int)  # its holder's slot among the row's members
+    q = np.full((size, h), -np.inf)  # highest sell price
+    seller = np.zeros((size, h), dtype=int)
+    masks, sets, places = [0], [()], [()]
+    for j, agent in enumerate(ids):
+        base, top = slice(0, 1 << j), slice(1 << j, 2 << j)
+        need[top] = need[base] + net[j]
+        capacity[top] = capacity[base] + caps[j]
+        level[top] = level[base] + s0[j]
+        count[top] = count[base] + 1
+        cheaper = hs.buy_price[j] < p[base]
+        p[top] = np.where(cheaper, hs.buy_price[j], p[base])
+        buyer[top] = np.where(cheaper, count[base, None], buyer[base])
+        dearer = hs.sell_price[j] > q[base]
+        q[top] = np.where(dearer, hs.sell_price[j], q[base])
+        seller[top] = np.where(dearer, count[base, None], seller[base])
+        place = tuple(scenario.nodes[agent].position)
+        masks += [mask | 1 << agent for mask in masks]
+        sets += [s + (agent,) for s in sets]
+        places += [s + (place,) for s in places]
+    rows = np.flatnonzero(count >= 2)
+    need, capacity, level, count = need[rows], capacity[rows], level[rows], count[rows]
+    p, q, buyer, seller = p[rows], q[rows], buyer[rows], seller[rows]
+    m = len(rows)
 
     # backward: a_t and b_t are the smallest levels where V_{t+1}'s right
     # slope reaches -p_t and -q_t (C if it never does); V_t is V_{t+1}
     # between them, with rays of slope -p_t below and -q_t above, at the
-    # level less need_t, restricted to [0, C]
-    starts, slopes = [0.0], [0.0]  # V_h = 0
-    targets = [None] * h
+    # level less need_t, restricted to [0, C].  V_t has at most 2h - 1
+    # segments, so every row keeps a padded slot.
+    width = 2 * h
+    cols, each = np.arange(width), np.arange(m)
+    starts = np.repeat(capacity[:, None], width, axis=1)
+    starts[:, 0] = 0.0
+    slopes = np.full((m, width), np.inf)
+    slopes[:, 0] = 0.0  # V_h = 0
+    a, b = np.empty((m, h)), np.empty((m, h))
     for t in reversed(range(h)):
-        buy, sell = -float(p[t]), -float(q[t])
-        k = next((i for i, m in enumerate(slopes) if m >= buy), len(slopes))
-        j = next((i for i, m in enumerate(slopes) if m >= sell), len(slopes))
-        a = starts[k] if k < len(slopes) else capacity
-        b = starts[j] if j < len(slopes) else capacity
-        targets[t] = a, b
+        buy, sell = -p[:, t, None], -q[:, t, None]
+        j = (slopes >= sell).argmax(axis=1)
+        a[:, t] = starts[each, (slopes >= buy).argmax(axis=1)]
+        b[:, t] = starts[each, j]
         if t:
-            kept = [(x, m) for x, m in zip(starts[k:j], slopes[k:j]) if m > buy]
-            starts, slopes = [0.0], [buy]
-            for x, m in kept + [(b, sell)]:
-                x += need[t]
-                if x <= 0.0:
-                    slopes[0] = m
-                elif x < capacity:
-                    starts.append(x)
-                    slopes.append(m)
+            # candidates: the segments from the first with a slope above
+            # -p_t up to b_t, which gets slope -q_t, at the level less need_t
+            first = (slopes > buy).argmax(axis=1)
+            x = starts + need[:, t, None]
+            slope = slopes.copy()
+            slope[each, j] = sell[:, 0]
+            live = (cols >= first[:, None]) & (cols <= j[:, None])
+            # both sets are prefixes of the candidates, as x is nondecreasing
+            lo = first + (live & (x <= 0.0)).sum(axis=1)
+            hi = first + (live & (x < capacity[:, None])).sum(axis=1)
+            # V_t is [0] + candidates[lo:hi], its first slope the last one
+            # cut off below 0, or -p_t
+            src = lo[:, None] + cols[:-1]
+            keep = src < hi[:, None]
+            src = np.minimum(src, width - 1)
+            starts = np.empty_like(starts)
+            starts[:, 0] = 0.0
+            starts[:, 1:] = np.where(keep, x[each[:, None], src], capacity[:, None])
+            slopes = np.empty_like(slopes)
+            slopes[:, 0] = np.where(lo > first, slope[each, np.maximum(lo - 1, 0)], buy[:, 0])
+            slopes[:, 1:] = np.where(keep, slope[each[:, None], src], np.inf)
 
     # forward: the smallest minimizer at each step
-    path, bought, sold = [], [], []
+    path, bought, sold = np.empty((m, h)), np.empty((m, h)), np.empty((m, h))
     s = level
-    for t, (a, b) in enumerate(targets):
-        z = s - need[t]  # the level with no grid trade
-        s = b if b < z else max(z, a)
-        path.append(s)
-        bought.append(max(0.0, s - z))
-        sold.append(max(0.0, z - s))
+    for t in range(h):
+        z = s - need[:, t]  # the level with no grid trade
+        s = np.where(b[:, t] < z, b[:, t], np.where(a[:, t] > z, a[:, t], z))
+        path[:, t] = s
+        d = s - z
+        bought[:, t] = np.where(d > 0.0, d, 0.0)
+        d = z - s
+        sold[:, t] = np.where(d > 0.0, d, 0.0)
 
-    levels = np.zeros((len(ids), h))
-    if capacity:
-        levels[:] = (caps / capacity)[:, None] * path
-    delta = np.diff(levels, axis=1, prepend=s0[:, None])
+    # split and price, one group of rows per member count; each row's
+    # sums run over one contiguous (member, step) row, in member order
+    crossed = (q >= p).any(axis=1)
+    priced = {}
     steps = np.arange(h)
-    grid_buy = np.zeros_like(levels)
-    grid_buy[slice_.buy_price.argmin(axis=0), steps] = bought
-    grid_sell = np.zeros_like(levels)
-    grid_sell[slice_.sell_price.argmax(axis=0), steps] = sold
-    member_need = net + delta + grid_sell - grid_buy
-    return DispatchSolution(
-        members=tuple(ids),
-        storage_delta=delta,
-        storage_level=levels,
-        grid_buy=grid_buy,
-        grid_sell=grid_sell,
-        coal_buy=np.maximum(member_need, 0.0),
-        coal_sell=np.maximum(-member_need, 0.0),
-        market_cost=float((slice_.buy_price * grid_buy
-                           - slice_.sell_price * grid_sell).sum()),
-        programs=0, phase1_pivots=0, phase2_pivots=0, phase1_replayed=0, phase2_replayed=0,
-    )
+    for k in range(2, n + 1):
+        group = np.flatnonzero((count == k) & ~crossed)
+        if not len(group):
+            continue
+        g = len(group)
+        held = rows[group]
+        local = np.nonzero((held[:, None] >> np.arange(n)) & 1)[1].reshape(g, k)
+        pool = capacity[group, None]  # a pool of no capacity has levels 0 throughout
+        share = np.divide(caps[local], pool, out=np.zeros((g, k)), where=pool != 0.0)
+        levels = share[:, :, None] * path[group, None, :]
+        delta = np.diff(levels, axis=2, prepend=s0[local][:, :, None])
+        grid_buy = np.zeros_like(levels)
+        grid_buy[np.arange(g)[:, None], buyer[group], steps] = bought[group]
+        grid_sell = np.zeros_like(levels)
+        grid_sell[np.arange(g)[:, None], seller[group], steps] = sold[group]
+        member_need = net[local] + delta + grid_sell - grid_buy
+        coal_buy = np.maximum(member_need, 0.0)
+        coal_sell = np.maximum(-member_need, 0.0)
+        market = (hs.buy_price[local] * grid_buy
+                  - hs.sell_price[local] * grid_sell).reshape(g, -1).sum(axis=1)
+        squares = (coal_buy ** 2).reshape(g, -1).sum(axis=1)
+        for i, r in enumerate(held.tolist()):
+            r_hat = _mean_distance(places[r])
+            market_cost = float(market[i])
+            loss = float(loss_weight * r_hat * squares[i])
+            plan = DispatchSolution(
+                members=sets[r], storage_delta=delta[i], storage_level=levels[i],
+                grid_buy=grid_buy[i], grid_sell=grid_sell[i],
+                coal_buy=coal_buy[i], coal_sell=coal_sell[i], market_cost=market_cost,
+                programs=0, phase1_pivots=0, phase2_pivots=0,
+                phase1_replayed=0, phase2_replayed=0)
+            priced[masks[r]] = CoalitionValueBreakdown(
+                market_cost=market_cost, loss_cost=loss, total=market_cost + loss,
+                mean_distance=r_hat), plan
+    return priced
 
 
 def mean_pairwise_distance(positions) -> float:
@@ -360,19 +434,15 @@ def coalition_value(members, storage_levels, scenario: Scenario, slice_: Horizon
         if a == b:
             raise ValueError(f"coalition repeats member {a}")
     storage = np.asarray(storage_levels, dtype=float)
-    hs = slice_.select(members)
-    nodes = [scenario.nodes[i] for i in members]
-    caps = [nd.storage_capacity for nd in nodes]
+    caps = [scenario.nodes[i].storage_capacity for i in members]
     if len(members) == 1:
-        sol = solve_individual_dispatch(hs, float(storage[members[0]]), float(caps[0]))
+        sol = solve_individual_dispatch(slice_.select(members), float(storage[members[0]]),
+                                        float(caps[0]))
         return CoalitionValueBreakdown(sol.market_cost, 0.0, sol.market_cost, 0.0), sol
-    sol = _pooled_dispatch(hs, storage[list(members)], caps)
-    r_hat = _mean_distance(tuple(tuple(nd.position) for nd in nodes))
-    loss = evaluate_loss_cost(sol, r_hat, loss_weight)
-    breakdown = CoalitionValueBreakdown(
-        market_cost=sol.market_cost,
-        loss_cost=loss,
-        total=sol.market_cost + loss,
-        mean_distance=r_hat,
-    )
-    return breakdown, sol
+    _storage_bounds(members, storage[list(members)], caps)
+    # the full-mask row of the batch over the coalition's subsets
+    full = sum(1 << i for i in members)
+    priced = _pooled_subsets(members, storage, scenario, slice_, loss_weight)
+    if full not in priced:
+        raise _dispatch_failure(slice_.select(members), LpStatus.UNBOUNDED)
+    return priced[full]

@@ -7,7 +7,11 @@ negative share is money earned.
 The sweep and ``sim.step``'s repricing of retained blocks share one loop
 over the subsets of blocks, on the step's horizon slice.  That loop
 builds the step's one table of priced coalitions: mask -> the
-``(breakdown, plan)`` pair ``coalition_value`` returned.
+``(breakdown, plan)`` pair of the coalition.  A block's subsets of two or
+more members are priced together by one batched pooled recursion
+(``dispatch._pooled_subsets``), each member alone by ``coalition_value``;
+the loop takes the subsets in increasing mask order, so an error names
+the first subset that fails.
 
 Every coalition-cost table is a mask -> cost mapping, a plain dict or a
 :class:`CharacteristicFunction`; a whole game's agent count is read off
@@ -23,7 +27,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 import numpy as np
 
-from .dispatch import CoalitionValueBreakdown, DispatchSolution, coalition_value
+from .dispatch import (CoalitionValueBreakdown, DispatchSolution, _pooled_subsets,
+                       coalition_value)
 from .errors import DispatchError, MissingCoalitionError
 from .scenario import HorizonSlice, Scenario
 
@@ -54,7 +59,7 @@ def coalition_members(mask: int) -> tuple[int, ...]:
 @dataclass
 class CharacteristicFunction(Mapping):
     """Coalition mask -> cost, read-only; ``entries`` keeps each coalition's
-    ``(breakdown, plan)`` pair, as ``coalition_value`` returned it."""
+    ``(breakdown, plan)`` pair."""
 
     entries: dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]]
 
@@ -88,14 +93,24 @@ class PayoffMap:
 def _price_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSlice,
                    loss_weight: float
                    ) -> dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]]:
-    """Price every nonempty subset of each block.  Private, as the tracer in
-    ``perfbench/`` counts pricings by the public function that calls them."""
+    """Price every nonempty subset of each block, in increasing submask
+    order: the subsets of two or more members by one batched pooled
+    recursion per block, each member alone by ``coalition_value``, which
+    also raises the error of a pooled subset the batch left out.  Private,
+    as the tracer in ``perfbench/`` counts pricings by the public function
+    that calls them."""
     entries = {}
     for block in blocks:
+        block = tuple(block)
+        pooled = (_pooled_subsets(block, storage_levels, scenario, slice_, loss_weight)
+                  if len(block) > 1 else {})
         full = coalition_mask(block)
         sub = 0
         while sub != full:
             sub = (sub - full) & full  # next submask of full, in increasing order
+            if sub in pooled:
+                entries[sub] = pooled[sub]
+                continue
             members = coalition_members(sub)
             try:
                 entries[sub] = coalition_value(members, storage_levels, scenario,

@@ -8,7 +8,10 @@ the subsets of its blocks), each block's priced plan is applied for one
 step, and realized money is settled inside each block with a one-step
 Shapley allocation built from the first-step costs of the same priced plans.
 The step keeps one table of priced coalitions, mask -> ``(breakdown, plan)``;
-the applied flows, the settlement and the step's counters all read it.
+the applied flows, the settlement and the step's counters all read it.  Its
+coalitions of two or more members come from one batched pooled recursion
+per block (``game._price_subsets``), with no program solved, so
+``StepResult.lp_programs`` counts the one-member coalitions only.
 Grid-only and grid-with-storage modes run the same loop on singleton
 blocks; grid-only runs on a copy of the scenario without storage.
 """

@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import split_pooled_plan, traces_equal
+from pooled_loop_reference import assert_same_pricing, pooled_value
 
 from coopgrid.dispatch import (coalition_value, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
 from coopgrid.formation import enumerate_partitions, optimal_structure, structure_value
-from coopgrid.game import coalition_members, shapley_value
+from coopgrid.game import characteristic_function, coalition_members, shapley_value
 from coopgrid.lp import LpStatus, solve_lp
 from coopgrid.oracles import (best_partition_by_enumeration, brute_force_lp,
                               lexicographic_pooled_levels, permutation_shapley,
@@ -343,6 +344,28 @@ def test_pooled_plan_is_the_lexicographic_least_cost_plan(ref_scenario, coalitio
     _report(f"lexicographic pooled plan (step {k})",
             f"247 coalitions, worst level gap {worst_level:.1e} of capacity, "
             f"worst v(S) gap {worst_value:.1e} relative")
+
+
+@pytest.mark.parametrize("rho", [1e-5, 5e-3])
+def test_batched_recursion_is_the_loop_bit_for_bit(ref_scenario, coalition_traces, rho):
+    # every coalition of two or more members at every reference step, at the
+    # storage state the run reached, against the per-coalition loop
+    trace = coalition_traces[rho]
+    storage = ref_scenario.storage_init
+    compared = 0
+    for res in trace.steps:
+        window = slice_horizon(ref_scenario, res.step, trace.config.horizon)
+        cf = characteristic_function(storage, ref_scenario, window, rho)
+        for mask, priced in cf.entries.items():
+            members = coalition_members(mask)
+            if len(members) > 1:
+                assert_same_pricing(priced, pooled_value(members, storage, ref_scenario,
+                                                         window, rho))
+                compared += 1
+        storage = res.storage_after
+    assert compared == 17 * 247
+    _report(f"batched pooled recursion (rho = {rho})",
+            f"{compared} coalition-steps identical to the loop, bit for bit")
 
 
 def test_reference_run_ends_the_day_with_empty_storage(coalition_traces):

@@ -2,24 +2,27 @@
 
 Worlds come from ``generate_synthetic_scenario`` with 1-4 nodes and 1-4
 steps (2-5 nodes and 1-6 steps for the pooled-program certificate and the
-lexicographic plan); the
+lexicographic plan, 2-6 nodes and horizons 1-6 for the batched recursion
+against its loop reference); the
 horizon, the re-formation period and the loss weight are drawn too.
 Examples are derandomized, so every run checks the same cases.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 from helpers import split_pooled_plan, traces_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pooled_loop_reference import assert_same_pricing, pooled_value
 
 from coopgrid.dispatch import coalition_value, mean_pairwise_distance
 from coopgrid.errors import ScenarioError
-from coopgrid.game import coalition_members
+from coopgrid.game import characteristic_function, coalition_members
 from coopgrid.oracles import lexicographic_pooled_levels, pooled_market_cost
 from coopgrid.scenario import (generate_synthetic_scenario, load_scenario, serialize_scenario,
-                               slice_horizon)
+                               slice_horizon, validate_scenario)
 from coopgrid.sim import SimConfig, SimMode, run
 
 seeds = st.integers(0, 10_000)
@@ -125,6 +128,36 @@ def test_pooled_plan_is_the_lexicographic_least_cost_plan(seed, n_nodes, n_steps
         assert gap <= 1e-9 * sum(caps), members
         want = split_pooled_plan(hs, levels, caps, least, rho, breakdown.mean_distance)
         assert abs(breakdown.total - want) <= 1e-9 * abs(want), members
+
+
+@_settings(40)
+@given(seed=seeds, n_nodes=st.integers(2, 6), n_steps=st.integers(1, 4),
+       horizon=st.integers(1, 6), rho=rhos, data=st.data())
+def test_batched_recursion_is_the_loop_bit_for_bit(seed, n_nodes, n_steps, horizon, rho,
+                                                  data):
+    # every coalition of two or more members at every step, from drawn
+    # levels, in a world with drawn zero-capacity members whose nodes take
+    # a lower node's buy or sell prices, so that prices tie across members
+    world = generate_synthetic_scenario(seed, n_nodes=n_nodes, n_steps=n_steps)
+    empty = data.draw(st.sets(st.integers(0, n_nodes - 1)))
+    nodes = []
+    for i, nd in enumerate(world.nodes):
+        buy, sell = data.draw(st.integers(0, i)), data.draw(st.integers(0, i))
+        cap = 0.0 if i in empty else nd.storage_capacity
+        nodes.append(replace(nd, storage_capacity=cap, storage_init=min(nd.storage_init, cap),
+                             buy_price=world.nodes[buy].buy_price,
+                             sell_price=world.nodes[sell].sell_price))
+    world = replace(world, nodes=nodes)
+    assert not validate_scenario(world)
+    fill = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_nodes, max_size=n_nodes))
+    storage = np.array(fill) * world.storage_capacities
+    for k in range(n_steps):
+        window = slice_horizon(world, k, horizon)
+        cf = characteristic_function(storage, world, window, rho)
+        for mask, priced in cf.entries.items():
+            members = coalition_members(mask)
+            if len(members) > 1:
+                assert_same_pricing(priced, pooled_value(members, storage, world, window, rho))
 
 
 json_values = st.recursive(

@@ -114,6 +114,34 @@ def test_dispatch_failure_names_step_and_coalition():
             sim.step(state, scenario, config, prev)
 
 
+def test_dispatch_failure_names_the_first_failing_subset():
+    # node 1 sells above node 0's buy price and node 2 above its own, so the
+    # pair (0, 1) and the singleton (2,) both fail; subsets are priced in
+    # increasing mask order, and the pair, mask 3, comes before mask 4
+    nodes = [make_node(0, [1.0, 1.0], [0.0, 0.0], [0.08, 0.08], [0.05, 0.05]),
+             make_node(1, [1.0, 1.0], [0.0, 0.0], [0.12, 0.12], [0.09, 0.09]),
+             make_node(2, [1.0, 1.0], [0.0, 0.0], [0.10, 0.10], [0.11, 0.11])]
+    scenario = make_scenario(nodes)
+    state = SystemState(step=1, storage=np.zeros(3))
+    config = SimConfig(horizon=1, reform_period=2)
+    for prev in (None, Partition.from_blocks([(0, 1, 2)])):  # re-forming, then retained
+        with pytest.raises(DispatchError,
+                           match=r"^step 1, coalition \(0, 1\): dispatch unbounded"):
+            sim.step(state, scenario, config, prev)
+
+
+def test_level_outside_capacity_is_refused_in_a_block():
+    # the block's subsets are priced after each member alone, whose program
+    # refuses the level with the same message
+    scenario = generate_synthetic_scenario(1, n_nodes=3, n_steps=2)
+    caps = scenario.storage_capacities
+    state = SystemState(step=1, storage=np.array([0.0, caps[1] + 1e-3, 0.0]))
+    config = SimConfig(horizon=2, reform_period=2)
+    for prev in (None, Partition.from_blocks([(0, 1, 2)])):
+        with pytest.raises(ValueError, match=r"^node 1: storage_init .* outside \[0, "):
+            sim.step(state, scenario, config, prev)
+
+
 def test_self_sufficient_agents_stay_single_with_zero_charges():
     nodes = [make_node(i, [1.5] * 4, [1.5] * 4, [0.1] * 4, [0.05] * 4, cap=0.0)
              for i in range(3)]
