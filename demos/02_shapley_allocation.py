@@ -16,11 +16,11 @@ storage = np.zeros(4)
 
 cf = characteristic_function(storage, scenario, slice_horizon(scenario, 0, 5),
                              loss_weight=1e-4)
-print(f"characteristic function over {len(cf.entries)} coalitions (4 agents)\n")
+print(f"characteristic function over {len(cf)} coalitions (4 agents)\n")
 
 print("coalition               market    losses     value")
-for mask in sorted(cf.entries, key=lambda m: (bin(m).count('1'), m)):
-    b, _plan = cf.entries[mask]
+for mask in sorted(cf, key=lambda m: (bin(m).count('1'), m)):
+    b, _plan = cf.pricing(mask)
     members = coalition_members(mask)
     print(f"  {str(members):20s} {b.market_cost:9.4f} {b.loss_cost:9.6f} {b.total:9.4f}")
 

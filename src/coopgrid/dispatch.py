@@ -19,8 +19,11 @@ The recursion prices every subset of two or more members of a block at
 once (``_pooled_subsets``): each subset's pooled inputs are those of the
 subset without its highest member plus that member, so one table per
 input is built by doubling over the members, and both passes run over
-all subsets as padded arrays.  ``game`` prices each block's subsets so;
-``coalition_value`` takes the row of the whole coalition.
+all subsets as padded arrays.  It hands its v(S) and first-step costs
+over as arrays (:class:`PooledRows`) and makes a subset's
+``(breakdown, plan)`` only on demand.  ``game`` prices each block's
+subsets so; ``coalition_value`` runs the passes on the row of the whole
+coalition only.
 
 A run solves thousands of small one-member programs, and the equality
 matrix of a program depends only on the member count and the horizon.
@@ -235,24 +238,68 @@ def solve_individual_dispatch(slice_: HorizonSlice, storage_init: float,
     return solve_coalition_dispatch(slice_, [storage_init], [storage_cap])
 
 
-def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: HorizonSlice,
-                    loss_weight: float
-                    ) -> dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]]:
-    """Price every subset of two or more of ``members`` (sorted, distinct)
-    as one pooled node, all subsets at once (MODEL.md sections 2 and 5).
+@dataclass
+class PooledRows:
+    """The subsets of two or more members of one block that
+    ``_pooled_subsets`` priced, as arrays over its rows: ``index`` maps
+    each subset's mask to its row, in increasing mask order.  Per row:
+    the market cost, the loss cost, v(S) (``total``), the mean pairwise
+    distance r(S), and the first-step cost that settlement splits, the grid
+    money at step 0 plus ``rho * r(S) * sum_i cb[i,0]^2``.  ``crossed``
+    lists the masks left out, whose tariffs cross.  :meth:`pricing` builds
+    one subset's ``(breakdown, plan)`` on demand; its plan arrays are views
+    of the batch's arrays for the subset's member count, to be treated as
+    read-only."""
 
-    Returns mask -> ``(breakdown, plan)``, bit i of a mask set for agent i.
-    A subset whose tariffs cross at some step (``q_t >= p_t``) is left out;
-    ``coalition_value`` raises its error.  The members' levels are the
-    caller's to check: every subset holding a member is priced after that
-    member alone, whose program refuses a level outside its capacity.
+    members: tuple[int, ...]
+    index: dict[int, int]
+    market: np.ndarray
+    loss: np.ndarray
+    total: np.ndarray
+    distance: np.ndarray
+    first_step: np.ndarray
+    crossed: list[int]
+    plans: dict[int, tuple[np.ndarray, ...]]  # member count k -> (g, k, h) plan arrays
+    count: np.ndarray  # each row's member count
+    slot: np.ndarray   # and its index in that count's plan arrays
+
+    def pricing(self, mask: int) -> tuple[CoalitionValueBreakdown, DispatchSolution]:
+        """``(breakdown, plan)`` of the subset ``mask``; KeyError when the
+        batch did not price it."""
+        i = self.index[mask]
+        j = int(self.slot[i])
+        delta, levels, grid_buy, grid_sell, coal_buy, coal_sell = self.plans[int(self.count[i])]
+        market = float(self.market[i])
+        plan = DispatchSolution(
+            members=tuple(a for a in self.members if mask >> a & 1),
+            storage_delta=delta[j], storage_level=levels[j], grid_buy=grid_buy[j],
+            grid_sell=grid_sell[j], coal_buy=coal_buy[j], coal_sell=coal_sell[j],
+            market_cost=market, programs=0, phase1_pivots=0, phase2_pivots=0,
+            phase1_replayed=0, phase2_replayed=0)
+        return CoalitionValueBreakdown(
+            market_cost=market, loss_cost=float(self.loss[i]), total=float(self.total[i]),
+            mean_distance=float(self.distance[i])), plan
+
+
+def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: HorizonSlice,
+                    loss_weight: float, whole: bool = False) -> PooledRows:
+    """Price every subset of two or more of ``members`` (sorted, distinct)
+    as one pooled node, all subsets at once (MODEL.md sections 2 and 5);
+    with ``whole``, only the subset of all the members (``coalition_value``).
+
+    Bit i of a mask is set for agent i.  A subset whose tariffs cross at
+    some step (``q_t >= p_t``) is left out; ``coalition_value`` raises its
+    error.  The members' levels are the caller's to check: every subset
+    holding a member is priced after that member alone, whose program
+    refuses a level outside its capacity.
 
     Row r of the subset tables holds the members whose bits are set in r
     (bit j for ``members[j]``).  The rows with bit j as their highest are
     the rows below 2^j plus member j, so the summed need, capacity and level
     are the same additions, in member order, as a per-coalition loop makes,
     and the lowest buy and highest sell price keep their lowest-id holder.
-    Each cost-to-go V_t is kept per row as segment starts and right slopes,
+    Both passes and the split then run on the rows priced only.  Each
+    cost-to-go V_t is kept per row as segment starts and right slopes,
     padded with starts at C and slopes of +inf; every slope is a price or
     0, so every slope comparison is exact.  The forward pass takes the
     smallest minimizer at each step, which gives the lexicographically
@@ -275,7 +322,7 @@ def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: Horizon
     buyer = np.zeros((size, h), dtype=int)  # its holder's slot among the row's members
     q = np.full((size, h), -np.inf)  # highest sell price
     seller = np.zeros((size, h), dtype=int)
-    masks, sets, places = [0], [()], [()]
+    masks = [0]
     for j, agent in enumerate(ids):
         base, top = slice(0, 1 << j), slice(1 << j, 2 << j)
         need[top] = need[base] + net[j]
@@ -288,14 +335,17 @@ def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: Horizon
         dearer = hs.sell_price[j] > q[base]
         q[top] = np.where(dearer, hs.sell_price[j], q[base])
         seller[top] = np.where(dearer, count[base, None], seller[base])
-        place = tuple(scenario.nodes[agent].position)
         masks += [mask | 1 << agent for mask in masks]
-        sets += [s + (agent,) for s in sets]
-        places += [s + (place,) for s in places]
-    rows = np.flatnonzero(count >= 2)
+    rows = np.array([size - 1]) if whole else np.flatnonzero(count >= 2)
+    crossed = (q[rows] >= p[rows]).any(axis=1)
+    left_out = [masks[r] for r in rows[crossed].tolist()]
+    rows = rows[~crossed]
     need, capacity, level, count = need[rows], capacity[rows], level[rows], count[rows]
     p, q, buyer, seller = p[rows], q[rows], buyer[rows], seller[rows]
     m = len(rows)
+    positions = tuple(tuple(scenario.nodes[i].position) for i in ids)
+    distance = (np.full(m, _mean_distance(positions)) if whole
+                else _subset_distances(positions)[rows])
 
     # backward: a_t and b_t are the smallest levels where V_{t+1}'s right
     # slope reaches -p_t and -q_t (C if it never does); V_t is V_{t+1}
@@ -350,17 +400,20 @@ def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: Horizon
         sold[:, t] = np.where(d > 0.0, d, 0.0)
 
     # split and price, one group of rows per member count; each row's
-    # sums run over one contiguous (member, step) row, in member order
-    crossed = (q >= p).any(axis=1)
-    priced = {}
+    # sums over the horizon run over one contiguous (member, step) row,
+    # and its first-step grid money member by member from 0.0, in member
+    # order, as a per-coalition loop adds them
+    market, squares, first_step = np.empty(m), np.empty(m), np.empty(m)
+    slot = np.empty(m, dtype=int)
+    plans = {}
     steps = np.arange(h)
     for k in range(2, n + 1):
-        group = np.flatnonzero((count == k) & ~crossed)
+        group = np.flatnonzero(count == k)
         if not len(group):
             continue
         g = len(group)
-        held = rows[group]
-        local = np.nonzero((held[:, None] >> np.arange(n)) & 1)[1].reshape(g, k)
+        slot[group] = np.arange(g)
+        local = np.nonzero((rows[group, None] >> np.arange(n)) & 1)[1].reshape(g, k)
         pool = capacity[group, None]  # a pool of no capacity has levels 0 throughout
         share = np.divide(caps[local], pool, out=np.zeros((g, k)), where=pool != 0.0)
         levels = share[:, :, None] * path[group, None, :]
@@ -372,23 +425,24 @@ def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: Horizon
         member_need = net[local] + delta + grid_sell - grid_buy
         coal_buy = np.maximum(member_need, 0.0)
         coal_sell = np.maximum(-member_need, 0.0)
-        market = (hs.buy_price[local] * grid_buy
-                  - hs.sell_price[local] * grid_sell).reshape(g, -1).sum(axis=1)
-        squares = (coal_buy ** 2).reshape(g, -1).sum(axis=1)
-        for i, r in enumerate(held.tolist()):
-            r_hat = _mean_distance(places[r])
-            market_cost = float(market[i])
-            loss = float(loss_weight * r_hat * squares[i])
-            plan = DispatchSolution(
-                members=sets[r], storage_delta=delta[i], storage_level=levels[i],
-                grid_buy=grid_buy[i], grid_sell=grid_sell[i],
-                coal_buy=coal_buy[i], coal_sell=coal_sell[i], market_cost=market_cost,
-                programs=0, phase1_pivots=0, phase2_pivots=0,
-                phase1_replayed=0, phase2_replayed=0)
-            priced[masks[r]] = CoalitionValueBreakdown(
-                market_cost=market_cost, loss_cost=loss, total=market_cost + loss,
-                mean_distance=r_hat), plan
-    return priced
+        market[group] = (hs.buy_price[local] * grid_buy
+                         - hs.sell_price[local] * grid_sell).reshape(g, -1).sum(axis=1)
+        squares[group] = (coal_buy ** 2).reshape(g, -1).sum(axis=1)
+        money = (hs.buy_price[local, 0] * grid_buy[:, :, 0]
+                 - hs.sell_price[local, 0] * grid_sell[:, :, 0])
+        cost = np.zeros(g)
+        for i in range(k):
+            cost += money[:, i]
+        if loss_weight:
+            cost += loss_weight * distance[group] * (coal_buy[:, :, 0] ** 2).sum(axis=1)
+        first_step[group] = cost
+        plans[k] = delta, levels, grid_buy, grid_sell, coal_buy, coal_sell
+    loss = loss_weight * distance * squares
+    priced = [masks[r] for r in rows.tolist()]
+    return PooledRows(members=ids, index=dict(zip(priced, range(m))), market=market,
+                      loss=loss, total=market + loss, distance=distance,
+                      first_step=first_step, crossed=left_out, plans=plans,
+                      count=count, slot=slot)
 
 
 def mean_pairwise_distance(positions) -> float:
@@ -412,6 +466,20 @@ def _mean_distance(positions: tuple) -> float:
     tuples, computed once per set of positions: a run asks for each
     coalition's again at every step, and positions never change."""
     return mean_pairwise_distance(positions)
+
+
+@functools.lru_cache(maxsize=256)  # a block of n members keeps 2^n floats
+def _subset_distances(positions: tuple) -> np.ndarray:
+    """:func:`_mean_distance` of every subset of ``positions`` as one
+    read-only array, row r for the positions whose bits are set in r (0
+    below two), made once per block: runs price the same blocks again."""
+    out = np.zeros(1 << len(positions))
+    for r in range(len(out)):
+        subset = tuple(place for j, place in enumerate(positions) if r >> j & 1)
+        if len(subset) > 1:
+            out[r] = _mean_distance(subset)
+    out.flags.writeable = False
+    return out
 
 
 def evaluate_loss_cost(solution: DispatchSolution, mean_distance: float,
@@ -440,9 +508,8 @@ def coalition_value(members, storage_levels, scenario: Scenario, slice_: Horizon
                                         float(caps[0]))
         return CoalitionValueBreakdown(sol.market_cost, 0.0, sol.market_cost, 0.0), sol
     _storage_bounds(members, storage[list(members)], caps)
-    # the full-mask row of the batch over the coalition's subsets
-    full = sum(1 << i for i in members)
-    priced = _pooled_subsets(members, storage, scenario, slice_, loss_weight)
-    if full not in priced:
+    # the batch over the coalition's subsets, on its full-mask row only
+    priced = _pooled_subsets(members, storage, scenario, slice_, loss_weight, whole=True)
+    if priced.crossed:
         raise _dispatch_failure(slice_.select(members), LpStatus.UNBOUNDED)
-    return priced[full]
+    return priced.pricing(sum(1 << i for i in members))

@@ -6,12 +6,15 @@ negative share is money earned.
 
 The sweep and ``sim.step``'s repricing of retained blocks share one loop
 over the subsets of blocks, on the step's horizon slice.  That loop
-builds the step's one table of priced coalitions: mask -> the
-``(breakdown, plan)`` pair of the coalition.  A block's subsets of two or
-more members are priced together by one batched pooled recursion
-(``dispatch._pooled_subsets``), each member alone by ``coalition_value``;
-the loop takes the subsets in increasing mask order, so an error names
-the first subset that fails.
+builds the step's one table of priced coalitions, a
+:class:`CharacteristicFunction`: v(S) and the first-step cost of every
+mask, and each coalition's ``(breakdown, plan)`` on demand.  A block's
+subsets of two or more members are priced together by one batched pooled
+recursion (``dispatch._pooled_subsets``), whose arrays fill the table
+with no per-coalition object; each member alone is priced by
+``coalition_value``.  The members alone and the subsets the batch left
+out are taken in increasing mask order, so an error names the first
+subset that fails.
 
 Every coalition-cost table is a mask -> cost mapping, a plain dict or a
 :class:`CharacteristicFunction`; a whole game's agent count is read off
@@ -24,11 +27,11 @@ P(S - i)) / |S|, and agent i's share in S is P(S) - P(S - i).  A
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
-from .dispatch import (CoalitionValueBreakdown, DispatchSolution, _pooled_subsets,
-                       coalition_value)
+from .dispatch import (CoalitionValueBreakdown, DispatchSolution, PooledRows,
+                       _pooled_subsets, coalition_value)
 from .errors import DispatchError, MissingCoalitionError
 from .scenario import HorizonSlice, Scenario
 
@@ -58,19 +61,33 @@ def coalition_members(mask: int) -> tuple[int, ...]:
 
 @dataclass
 class CharacteristicFunction(Mapping):
-    """Coalition mask -> cost, read-only; ``entries`` keeps each coalition's
-    ``(breakdown, plan)`` pair."""
+    """The step's one table of priced coalitions, read-only, read as a
+    coalition mask -> cost mapping.  ``first_step`` maps the same masks to
+    the first-step costs that settlement splits.  :meth:`pricing` gives a
+    coalition's ``(breakdown, plan)``: a one-member coalition's as its
+    program priced it (``singles``), a larger one's built on demand from
+    the batch that priced it (``batches``)."""
 
-    entries: dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]]
+    values: dict[int, float] = field(default_factory=dict)
+    first_step: dict[int, float] = field(default_factory=dict)
+    singles: dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]] = field(
+        default_factory=dict)
+    batches: dict[int, PooledRows] = field(default_factory=dict)
 
     def __getitem__(self, mask: int) -> float:
-        return self.entries[mask][0].total
+        return self.values[mask]
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self.values)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
+
+    def pricing(self, mask: int) -> tuple[CoalitionValueBreakdown, DispatchSolution]:
+        """``(breakdown, plan)`` of the coalition ``mask``."""
+        if mask in self.singles:
+            return self.singles[mask]
+        return self.batches[mask].pricing(mask)
 
 
 @dataclass
@@ -91,33 +108,41 @@ class PayoffMap:
 
 
 def _price_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSlice,
-                   loss_weight: float
-                   ) -> dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]]:
-    """Price every nonempty subset of each block, in increasing submask
-    order: the subsets of two or more members by one batched pooled
-    recursion per block, each member alone by ``coalition_value``, which
-    also raises the error of a pooled subset the batch left out.  Private,
-    as the tracer in ``perfbench/`` counts pricings by the public function
-    that calls them."""
-    entries = {}
+                   loss_weight: float) -> CharacteristicFunction:
+    """Price every nonempty subset of each block into one table: the
+    subsets of two or more members by one batched pooled recursion per
+    block, each member alone by ``coalition_value``, with its first-step
+    cost.  The members alone and the subsets the batch left out go to
+    ``coalition_value`` in increasing mask order, which raises the error
+    of a subset left out, so an error names the first subset that fails.
+    Private, as the tracer in ``perfbench/`` counts pricings by the public
+    function that calls them."""
+    table = CharacteristicFunction()
     for block in blocks:
         block = tuple(block)
-        pooled = (_pooled_subsets(block, storage_levels, scenario, slice_, loss_weight)
-                  if len(block) > 1 else {})
-        full = coalition_mask(block)
-        sub = 0
-        while sub != full:
-            sub = (sub - full) & full  # next submask of full, in increasing order
-            if sub in pooled:
-                entries[sub] = pooled[sub]
-                continue
+        rest = [1 << i for i in block]
+        if len(block) > 1:
+            batch = _pooled_subsets(block, storage_levels, scenario, slice_, loss_weight)
+            table.values.update(zip(batch.index, batch.total.tolist()))
+            table.first_step.update(zip(batch.index, batch.first_step.tolist()))
+            table.batches.update(dict.fromkeys(batch.index, batch))
+            rest = sorted(rest + batch.crossed)
+        for sub in rest:
             members = coalition_members(sub)
             try:
-                entries[sub] = coalition_value(members, storage_levels, scenario,
-                                               slice_, loss_weight)
+                breakdown, plan = coalition_value(members, storage_levels, scenario,
+                                                  slice_, loss_weight)
             except DispatchError as exc:
                 raise DispatchError(f"coalition {members}: {exc}") from exc
-    return entries
+            (agent,) = members  # a subset the batch left out raised above
+            row = slice_.node_ids.index(agent)
+            table.singles[sub] = breakdown, plan
+            table.values[sub] = breakdown.total
+            # grid money alone, with no internal market; + 0.0 makes -0.0 +0.0
+            table.first_step[sub] = 0.0 + float(
+                slice_.buy_price[row, 0] * plan.grid_buy[0, 0]
+                - slice_.sell_price[row, 0] * plan.grid_sell[0, 0])
+    return table
 
 
 def characteristic_function(storage_levels, scenario: Scenario, slice_: HorizonSlice,
@@ -126,8 +151,7 @@ def characteristic_function(storage_levels, scenario: Scenario, slice_: HorizonS
     n = scenario.n_nodes
     if n > MAX_SWEEP_AGENTS:
         raise ValueError(f"exhaustive coalition sweep not supported for {n} agents")
-    return CharacteristicFunction(_price_subsets(
-        [range(n)], storage_levels, scenario, slice_, loss_weight))
+    return _price_subsets([range(n)], storage_levels, scenario, slice_, loss_weight)
 
 
 def _cost(values, mask: int) -> float:

@@ -7,11 +7,15 @@ partition is formed (or retained between re-formation steps, pricing only
 the subsets of its blocks), each block's priced plan is applied for one
 step, and realized money is settled inside each block with a one-step
 Shapley allocation built from the first-step costs of the same priced plans.
-The step keeps one table of priced coalitions, mask -> ``(breakdown, plan)``;
-the applied flows, the settlement and the step's counters all read it.  Its
-coalitions of two or more members come from one batched pooled recursion
-per block (``game._price_subsets``), with no program solved, so
-``StepResult.lp_programs`` counts the one-member coalitions only.
+The step keeps one table of priced coalitions
+(``game.CharacteristicFunction``): v(S) and the first-step cost of every
+mask, read off the arrays of one batched pooled recursion per block for
+coalitions of two or more members (``game._price_subsets``), and the
+program's plan of each member alone.  The settlement reads the first-step
+costs; a ``DispatchSolution`` is made only for each applied block, from its
+batch's arrays.  No program is solved for a pooled coalition, so
+``StepResult.lp_programs`` and the pivot counters sum over the one-member
+coalitions only.
 Grid-only and grid-with-storage modes run the same loop on singleton
 blocks; grid-only runs on a copy of the scenario without storage.
 """
@@ -22,12 +26,11 @@ from enum import Enum
 
 import numpy as np
 
-from .dispatch import CoalitionValueBreakdown, DispatchSolution
 from .errors import DispatchError, ScenarioError
 from .formation import Partition, form_partition
 from .game import (PayoffMap, _price_subsets, characteristic_function, coalition_mask,
                    payoff_map, shapley_value)
-from .scenario import HorizonSlice, Scenario, slice_horizon, validate_scenario
+from .scenario import Scenario, slice_horizon, validate_scenario
 
 STORAGE_DRIFT_TOL = 1e-8
 
@@ -119,20 +122,6 @@ def settle_step(partition: Partition, first_step_values: dict[int, float]) -> np
     return charges
 
 
-def _one_step_cost(breakdown: CoalitionValueBreakdown, sol: DispatchSolution,
-                   hs: HorizonSlice, loss_weight: float) -> float:
-    """Realized cost of a priced dispatch at its first step: grid money plus
-    the transfer-loss charge on the applied coalition purchases."""
-    cost = 0.0
-    for row, agent in enumerate(sol.members):
-        cost += float(hs.buy_price[agent, 0] * sol.grid_buy[row, 0]
-                      - hs.sell_price[agent, 0] * sol.grid_sell[row, 0])
-    if loss_weight:
-        cost += (loss_weight * breakdown.mean_distance
-                 * float(np.sum(sol.coal_buy[:, 0] ** 2)))
-    return cost
-
-
 def step(state: SystemState, scenario: Scenario, config: SimConfig,
          prev_partition: Partition | None = None) -> tuple[StepResult, SystemState]:
     """Execute one closed-loop step and advance the storage state.
@@ -151,10 +140,9 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
     pm: PayoffMap | None = None
     try:
         if coalitional and (prev_partition is None or k % config.reform_period == 0):
-            cf = characteristic_function(state.storage, scenario, hs, config.loss_weight)
-            pm = payoff_map(cf)
+            priced = characteristic_function(state.storage, scenario, hs, config.loss_weight)
+            pm = payoff_map(priced)
             partition = form_partition(pm)
-            priced = cf.entries
         else:
             partition = (prev_partition if coalitional
                          else Partition.from_blocks([(i,) for i in range(n)]))
@@ -169,7 +157,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
     coal_sell = np.zeros(n)
     storage_delta = np.zeros(n)
     for block in partition.blocks:
-        sol = priced[coalition_mask(block)][1]
+        sol = priced.pricing(coalition_mask(block))[1]
         idx = list(block)
         grid_buy[idx] = sol.grid_buy[:, 0]
         grid_sell[idx] = sol.grid_sell[:, 0]
@@ -177,9 +165,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         coal_sell[idx] = sol.coal_sell[:, 0]
         storage_delta[idx] = sol.storage_delta[:, 0]
 
-    first_step_values = {mask: _one_step_cost(breakdown, sol, hs, config.loss_weight)
-                         for mask, (breakdown, sol) in priced.items()}
-    charges = settle_step(partition, first_step_values)
+    charges = settle_step(partition, priced.first_step)
 
     new_storage = state.storage + storage_delta
     drift = float(np.max(np.maximum(-new_storage, new_storage - caps), initial=0.0))
@@ -187,6 +173,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         raise DispatchError(f"step {k}: storage bounds violated by {drift}")
     new_storage = np.clip(new_storage, 0.0, caps)
 
+    singles = priced.singles.values()  # only one-member coalitions solve programs
     result = StepResult(
         step=k,
         partition=partition,
@@ -197,13 +184,13 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
         storage_delta=storage_delta,
         storage_after=new_storage.copy(),
         charges=charges,
-        coalition_values={mask: breakdown.total for mask, (breakdown, _) in priced.items()},
+        coalition_values=dict(priced.values),
         payoffs=pm,
-        lp_programs=sum(sol.programs for _, sol in priced.values()),
-        phase1_pivots=sum(sol.phase1_pivots for _, sol in priced.values()),
-        phase2_pivots=sum(sol.phase2_pivots for _, sol in priced.values()),
-        phase1_replayed=sum(sol.phase1_replayed for _, sol in priced.values()),
-        phase2_replayed=sum(sol.phase2_replayed for _, sol in priced.values()),
+        lp_programs=sum(sol.programs for _, sol in singles),
+        phase1_pivots=sum(sol.phase1_pivots for _, sol in singles),
+        phase2_pivots=sum(sol.phase2_pivots for _, sol in singles),
+        phase1_replayed=sum(sol.phase1_replayed for _, sol in singles),
+        phase2_replayed=sum(sol.phase2_replayed for _, sol in singles),
     )
     return result, SystemState(step=k + 1, storage=new_storage)
 

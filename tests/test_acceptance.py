@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import split_pooled_plan, traces_equal
+from one_step_cost_reference import assert_same_first_steps, one_step_cost
 from pooled_loop_reference import assert_same_pricing, pooled_value
 
 from coopgrid.dispatch import (coalition_value, mean_pairwise_distance,
@@ -356,15 +357,43 @@ def test_batched_recursion_is_the_loop_bit_for_bit(ref_scenario, coalition_trace
     for res in trace.steps:
         window = slice_horizon(ref_scenario, res.step, trace.config.horizon)
         cf = characteristic_function(storage, ref_scenario, window, rho)
-        for mask, priced in cf.entries.items():
+        for mask in cf:
             members = coalition_members(mask)
             if len(members) > 1:
+                priced = cf.pricing(mask)
                 assert_same_pricing(priced, pooled_value(members, storage, ref_scenario,
                                                          window, rho))
+                # a direct call runs the passes on its own full-mask row only
+                assert_same_pricing(coalition_value(members, storage, ref_scenario,
+                                                    window, rho), priced)
                 compared += 1
         storage = res.storage_after
     assert compared == 17 * 247
     _report(f"batched pooled recursion (rho = {rho})",
+            f"{compared} coalition-steps identical to the loop and to a direct "
+            f"call, bit for bit")
+
+
+@pytest.mark.parametrize("rho", [1e-5, 5e-3])
+def test_first_step_costs_are_the_loop_bit_for_bit(ref_scenario, coalition_traces, rho):
+    # every priced coalition's first-step cost at every reference step, at
+    # the storage state the run reached, against the per-coalition loop
+    # settlement used; the settled charges are the trace's
+    trace = coalition_traces[rho]
+    storage = ref_scenario.storage_init
+    compared = 0
+    for res in trace.steps:
+        window = slice_horizon(ref_scenario, res.step, trace.config.horizon)
+        cf = characteristic_function(storage, ref_scenario, window, rho)
+        compared += assert_same_first_steps(cf, window, rho)
+        want = np.zeros(ref_scenario.n_nodes)
+        for block in res.partition.blocks:
+            want[list(block)] = shapley_value(
+                {mask: one_step_cost(*cf.pricing(mask), window, rho) for mask in cf}, block)
+        assert res.charges.tobytes() == want.tobytes()
+        storage = res.storage_after
+    assert compared == 17 * 255
+    _report(f"first-step costs (rho = {rho})",
             f"{compared} coalition-steps identical to the loop, bit for bit")
 
 

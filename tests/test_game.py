@@ -32,16 +32,17 @@ def test_members_match_a_bit_by_bit_walk():
 def test_single_agent_sweep():
     sc = generate_synthetic_scenario(2, n_nodes=1, n_steps=6)
     cf = characteristic_function(np.zeros(1), sc, slice_horizon(sc, 0, 5), 1e-4)
-    assert set(cf.entries) == {1}
-    assert set(cf) == {1}
+    assert set(cf) == set(cf.first_step) == {1}
+    breakdown, plan = cf.pricing(1)
+    assert plan.members == (0,) and breakdown.total == cf[1]
 
 
 def test_three_agent_sweep_has_seven_entries():
     sc = generate_synthetic_scenario(2, n_nodes=3, n_steps=6)
     cf = characteristic_function(np.zeros(3), sc, slice_horizon(sc, 0, 5), 1e-4)
-    assert len(cf.entries) == 7
-    assert set(cf) == set(range(1, 8))
-    assert dict(cf) == {m: b.total for m, (b, _plan) in cf.entries.items()}
+    assert len(cf) == 7
+    assert set(cf) == set(cf.first_step) == set(range(1, 8))
+    assert dict(cf) == {m: cf.pricing(m)[0].total for m in cf}
 
 
 def test_pair_sweep_shows_merger_gain():

@@ -15,6 +15,7 @@ import numpy as np
 from helpers import split_pooled_plan, traces_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from one_step_cost_reference import assert_same_first_steps
 from pooled_loop_reference import assert_same_pricing, pooled_value
 
 from coopgrid.dispatch import coalition_value, mean_pairwise_distance
@@ -137,7 +138,9 @@ def test_batched_recursion_is_the_loop_bit_for_bit(seed, n_nodes, n_steps, horiz
                                                   data):
     # every coalition of two or more members at every step, from drawn
     # levels, in a world with drawn zero-capacity members whose nodes take
-    # a lower node's buy or sell prices, so that prices tie across members
+    # a lower node's buy or sell prices, so that prices tie across members;
+    # the batch's row against the loop and against a direct call, and every
+    # coalition's first-step cost against the loop settlement used
     world = generate_synthetic_scenario(seed, n_nodes=n_nodes, n_steps=n_steps)
     empty = data.draw(st.sets(st.integers(0, n_nodes - 1)))
     nodes = []
@@ -154,10 +157,15 @@ def test_batched_recursion_is_the_loop_bit_for_bit(seed, n_nodes, n_steps, horiz
     for k in range(n_steps):
         window = slice_horizon(world, k, horizon)
         cf = characteristic_function(storage, world, window, rho)
-        for mask, priced in cf.entries.items():
+        for mask in cf:
             members = coalition_members(mask)
             if len(members) > 1:
+                priced = cf.pricing(mask)
                 assert_same_pricing(priced, pooled_value(members, storage, world, window, rho))
+                assert_same_pricing(coalition_value(members, storage, world, window, rho),
+                                    priced)
+        # and every first-step cost, the members alone too
+        assert_same_first_steps(cf, window, rho)
 
 
 json_values = st.recursive(

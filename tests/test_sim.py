@@ -9,7 +9,7 @@ from helpers import make_node, make_scenario, surplus_deficit_pair, traces_equal
 from coopgrid import dispatch, lp, sim
 from coopgrid.dispatch import mean_pairwise_distance
 from coopgrid.errors import DispatchError
-from coopgrid.game import PRICE_ENERGY_FLOOR
+from coopgrid.game import PRICE_ENERGY_FLOOR, characteristic_function
 from coopgrid.report import summarize_prices
 from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
 from coopgrid.sim import SimConfig, SimMode, SystemState, run, settle_step
@@ -186,6 +186,75 @@ def test_pair_forms_exactly_while_its_loss_is_below_its_saving(rho, blocks, char
     assert res.coalition_values[0b10] == pytest.approx(0.30, abs=1e-9)
     assert res.coalition_values[0b11] == pytest.approx(4.5 * rho, abs=1e-9)
     assert res.charges == pytest.approx(charges, abs=1e-9)
+
+
+def _three_node_world():
+    """Two steps at buy 0.10 then 0.30 and sell 0.05, on a line 1 km apart:
+    node 0 has a 3 kWh surplus at step 0; node 1, with 2 kWh of empty
+    storage, needs 2 kWh at step 1; node 2, with no storage, needs 1 kWh at
+    each step."""
+    buy, sell = [0.10, 0.30], [0.05, 0.05]
+    return make_scenario([
+        make_node(0, [0.0, 0.0], [3.0, 0.0], buy, sell, position=(0.0, 0.0)),
+        make_node(1, [0.0, 2.0], [0.0, 0.0], buy, sell, cap=2.0, position=(1.0, 0.0)),
+        make_node(2, [1.0, 1.0], [0.0, 0.0], buy, sell, position=(2.0, 0.0))])
+
+
+def _three_player_shapley(v):
+    """Shapley shares of a three-player game given as mask -> value."""
+    shares = []
+    for i in range(3):
+        j, k = [1 << a for a in range(3) if a != i]
+        me = 1 << i
+        shares.append(v[me] / 3 + (v[me | j] - v[j]) / 6 + (v[me | k] - v[k]) / 6
+                      + (v[7] - v[j | k]) / 3)
+    return shares
+
+
+@pytest.mark.parametrize("rho, blocks", [
+    # the grand coalition saves 0.15 - 8 rho over the members alone and the
+    # pair (0, 1) saves 0.10 - 4 rho: the grand coalition forms while
+    # rho < 1/80, the pair while rho < 1/40
+    (0.0, ((0, 1, 2),)),
+    (0.01, ((0, 1, 2),)),
+    (0.02, ((0, 1), (2,))),
+    (0.03, ((0,), (1,), (2,))),
+])
+def test_three_node_world_with_storage_forms_and_settles_in_closed_form(rho, blocks):
+    # over the horizon: alone, node 0 sells its surplus, node 1 buys 2 kWh
+    # at step 0 and stores it, node 2 buys 1 kWh at each step.  A pool
+    # stores the surplus in node 1's storage first, buys the rest at step 0
+    # if it has room and else at step 1, and sells what is left at step 0;
+    # the pooled purchase or sale goes to the lowest-id member, each member's
+    # internal purchase is the positive part of its need, and the loss is
+    # rho times the mean distance times the summed squared purchases
+    scenario = _three_node_world()
+    window = slice_horizon(scenario, 0, 2)
+    cf = characteristic_function(scenario.storage_init, scenario, window, rho)
+    values = {0b001: -0.15, 0b010: 0.20, 0b100: 0.10 + 0.30,
+              0b011: -0.05 + rho * 1.0 * 2.0 ** 2,           # stores 2, sells 1
+              0b101: -0.10 + 0.30 + rho * 2.0 * (1.0 + 1.0),  # sells 2, buys 1 at step 1
+              0b110: 0.30 + 0.30 + rho * 1.0 * (1.0 + 1.0),   # buys 3, and 1 at step 1
+              0b111: 0.30 + rho * 4 / 3 * (2.0 ** 2 + 1.0 + 1.0)}  # stores 2, buys 1 at step 1
+    first = {0b001: -0.15, 0b010: 0.20, 0b100: 0.10,
+             0b011: -0.05 + rho * 1.0 * 2.0 ** 2, 0b101: -0.10 + rho * 2.0 * 1.0,
+             0b110: 0.30 + rho * 1.0 * 1.0, 0b111: rho * 4 / 3 * (2.0 ** 2 + 1.0)}
+    assert dict(cf) == pytest.approx(values, abs=1e-9)
+    assert cf.first_step == pytest.approx(first, abs=1e-9)
+
+    res, after = sim.step(SystemState(step=0, storage=scenario.storage_init), scenario,
+                          SimConfig(mode=SimMode.COALITIONAL, loss_weight=rho, horizon=2))
+    assert res.partition.blocks == blocks
+    if len(blocks) == 1:
+        charges = _three_player_shapley(first)
+    elif len(blocks) == 2:
+        half = (first[0b011] - first[0b001] - first[0b010]) / 2
+        charges = [first[0b001] + half, first[0b010] + half, first[0b100]]
+    else:
+        charges = [first[0b001], first[0b010], first[0b100]]
+    assert res.charges == pytest.approx(charges, abs=1e-9)
+    # node 1's storage fills at step 0 in every partition
+    assert after.storage == pytest.approx([0.0, 2.0, 0.0], abs=1e-9)
 
 
 def test_settle_step_two_member_closed_form():
