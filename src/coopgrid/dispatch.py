@@ -33,10 +33,13 @@ eight shapes, about 0.5 MB in all; its runs build only the one-member
 shape).  It is marked read-only: ``solve_lp`` only reads it (it copies it
 into its own tableau, or compares it by content with the matrices of the
 phase-1 paths it recorded), and a write through one program raises
-instead of changing every other program.  The costs, bounds and
-right-hand sides are filled per program, as (member, step, variable)
-views.  A program's plan arrays are views of its point, and a one-member
-plan's coalition flows are one shared read-only zero array.
+instead of changing every other program.  The bounds depend only on the
+members' capacities and the horizon, so each set's are built once and
+shared read-only too (``_bounds``, a bounded cache: a run of a world
+needs one entry per node alone and horizon).
+The costs and right-hand sides are filled per program, as (member, step,
+variable) views.  A program's plan arrays are views of its point, and a
+one-member plan's coalition flows are one shared read-only zero array.
 """
 
 import functools
@@ -126,15 +129,32 @@ def _no_market(horizon: int) -> np.ndarray:
     return zeros
 
 
+@functools.lru_cache(maxsize=256)  # a run has one entry per member set and horizon
+def _bounds(caps: bytes, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper bounds of every program of these member
+    capacities (the bytes of their doubles, so -0.0 is not 0.0) and
+    horizon, shared and read-only: storage deltas within ``[-cap, cap]``,
+    levels within ``[0, cap]``, flows nonnegative."""
+    cap = np.frombuffer(caps)[:, None]
+    nm = len(cap)
+    lower = np.zeros((nm, horizon, 6 if nm > 1 else 4))
+    lower[:, :, 0] = -cap
+    upper = np.full(lower.shape, np.inf)
+    upper[:, :, :2] = cap[:, :, None]
+    # flat copies, so a cache entry keeps no base arrays besides them
+    lower, upper = lower.flatten(), upper.flatten()
+    lower.flags.writeable = upper.flags.writeable = False
+    return lower, upper
+
+
 def _storage_bounds(ids, storage_init, storage_cap) -> tuple[np.ndarray, np.ndarray]:
     """The members' levels and capacities as arrays; a level outside
     ``[0, cap]`` raises ValueError naming the node."""
     s0 = np.asarray(storage_init, dtype=float).reshape(len(ids))
     caps = np.asarray(storage_cap, dtype=float).reshape(len(ids))
-    outside = ~((0.0 <= s0) & (s0 <= caps))
-    if outside.any():
-        m = int(outside.argmax())
-        raise ValueError(f"node {ids[m]}: storage_init {s0[m]} outside [0, {caps[m]}]")
+    for node, level, cap in zip(ids, s0.tolist(), caps.tolist()):
+        if not 0.0 <= level <= cap:
+            raise ValueError(f"node {node}: storage_init {level} outside [0, {cap}]")
     return s0, caps
 
 
@@ -165,11 +185,9 @@ def build_coalition_lp(slice_: HorizonSlice, storage_init, storage_cap) -> Linea
     cost = np.zeros((nm, h, width))
     cost[:, :, 2] = slice_.buy_price
     np.negative(slice_.sell_price, out=cost[:, :, 3])
-    cost[:, :, 4:] = TRANSFER_REG
-    lower = np.zeros((nm, h, width))
-    np.negative(caps[:, None], out=lower[:, :, 0])
-    upper = np.full((nm, h, width), np.inf)
-    upper[:, :, :2] = caps[:, None, None]
+    if nm > 1:
+        cost[:, :, 4:] = TRANSFER_REG
+    lower, upper = _bounds(caps.tobytes(), h)
     beq = np.zeros(aeq.shape[0])
     rhs = beq[:2 * nm * h].reshape(nm, h, 2)
     rhs[:, 0, 0] = s0
@@ -177,7 +195,7 @@ def build_coalition_lp(slice_: HorizonSlice, storage_init, storage_cap) -> Linea
     n = aeq.shape[1]
     return LinearProgram(objective=cost.reshape(n), eq_matrix=aeq, eq_rhs=beq,
                          ub_matrix=np.zeros((0, n)), ub_rhs=np.zeros(0),
-                         lower=lower.reshape(n), upper=upper.reshape(n))
+                         lower=lower, upper=upper)
 
 
 def build_individual_lp(slice_: HorizonSlice, storage_init: float,

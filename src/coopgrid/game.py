@@ -118,6 +118,7 @@ def _price_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSl
     Private, as the tracer in ``perfbench/`` counts pricings by the public
     function that calls them."""
     table = CharacteristicFunction()
+    buy, sell = slice_.buy_price[:, 0].tolist(), slice_.sell_price[:, 0].tolist()
     for block in blocks:
         block = tuple(block)
         rest = [1 << i for i in block]
@@ -138,10 +139,9 @@ def _price_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSl
             row = slice_.node_ids.index(agent)
             table.singles[sub] = breakdown, plan
             table.values[sub] = breakdown.total
-            # grid money alone, with no internal market; + 0.0 makes -0.0 +0.0
-            table.first_step[sub] = 0.0 + float(
-                slice_.buy_price[row, 0] * plan.grid_buy[0, 0]
-                - slice_.sell_price[row, 0] * plan.grid_sell[0, 0])
+            # grid money alone, with no internal market
+            table.first_step[sub] = (buy[row] * float(plan.grid_buy[0, 0])
+                                     - sell[row] * float(plan.grid_sell[0, 0]))
     return table
 
 

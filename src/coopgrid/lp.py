@@ -17,13 +17,14 @@ rewrite would store +0.0.  The sign of a zero never changes which
 entries are nonzero, a nonzero entry or the rhs column.
 
 The ratio test runs on Python floats, whose ``/``, ``<=``, ``abs`` and
-``min`` are numpy's IEEE 754 double operations; no ratio is NaN (every
+``sorted`` are numpy's IEEE 754 double operations; no ratio is NaN (every
 divisor is ``> PIVOT_TOL``), so the ratios, the tie cut ``rmin + 1e-12 *
 max(1.0, |rmin|)`` (the same for either sign of a zero ``rmin``) and the
 chosen row, ties going to the distinct smallest basic index, are those
 of an array version, in any order of the rows.  The phase-1 objective
-row and the phase-2 reduced costs are each one ``np.subtract.reduce``
-over stacked rows, which subtracts them left to right, as a loop would.
+row is one ``np.subtract.reduce`` over stacked rows, which subtracts them
+left to right, as the phase-2 reduced costs do on Python floats over each
+priced row's nonzero cells; only the unread sign of a zero can differ.
 
 Pivots are often replayed rather than run.  Programs with equal matrices
 (compared by content), bounded variables and negated rows share their
@@ -33,7 +34,9 @@ tableau: a program steps down the tree by its own choices, updating only
 its rhs, as ``rhs[r] - e * (rhs[leave] / p)`` like :func:`_eliminate`,
 and in phase 2 its objective row, as ``obj[j] - e * prow[j]``; where a
 choice has no child it solves the phase on the untouched rows, and its
-pivots join the tree (a phase 2 the second time it is taken).  A phase 1
+pivots join the tree (a phase 2 the second time it is taken).  Phase 2
+is followed on lists, from the rhs to the point; the tableau of its rows
+is built only where the tree lacks a child for a choice.  A phase 1
 that ends infeasible is solved on the tableau too, which records nothing,
 so a replay only ever returns a phase-2 start.  So the tree holds only
 ratio-tested pivots on unscaled rows that end at an optimum, and
@@ -53,12 +56,12 @@ where the pivot row is zero only loses a zero); and the rhs and the
 objective row are updated from nonzero entries only, so the signs of
 zeros never reach a choice.
 
-Stored values convert back to the same doubles.  The matrices and the
-phase-2 rows are kept as nonzero cells (uint8 or uint16 where they fit)
-and values (int8 where all are integers in [-128, 127], as in the
-dispatch programs): a small integer converts to its double exactly, and
-a nonzero integral double has one bit pattern.  A tableau stores each
-distinct tuple of rows or entries once.  The memo holds about
+Stored values convert back to the same doubles.  The matrices are kept
+as nonzero cells (uint8 or uint16 where they fit) and values (int8 where
+all are integers in [-128, 127], as in the dispatch programs): a small
+integer converts to its double exactly, and a nonzero integral double has
+one bit pattern.  Phase-2 rows are tuples of columns and Python floats,
+and a tableau stores each distinct tuple once.  The memo holds about
 ``_MEMO_BYTES`` of heap, least recently used tableau first out; a
 tableau that would not fit alone is not stored, and a tree stops growing
 where it would not fit.
@@ -163,7 +166,7 @@ def _finite(arr: np.ndarray) -> bool:
     """Whether every entry is finite.  A NaN or infinite entry makes the sum
     NaN or infinite, so a finite sum settles it in one pass without a
     temporary; only a sum that overflows needs the entry-wise check."""
-    return not arr.size or math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+    return not arr.size or math.isfinite(np.add.reduce(arr, None)) or bool(np.isfinite(arr).all())
 
 
 def validate_lp(problem: LinearProgram) -> list[str]:
@@ -232,17 +235,18 @@ def _eliminate(t: np.ndarray, basis: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
-def _leaving_row(ratios: list, basis) -> int:
-    """Bland's ratio test on Python floats: of ``ratios``, the (rhs / entry,
-    row) pairs of the rows whose entering-column entry is ``> PIVOT_TOL``,
-    the row with the least ratio, ties within ``1e-12`` (relative) going to
-    the smallest basic index; -1 when no entry passes."""
-    if len(ratios) < 2:  # one pivot in seven in dispatch programs has one
-        return ratios[0][1] if ratios else -1
-    rmin = min(ratios)[0]
-    cut = rmin + 1e-12 * max(1.0, abs(rmin))
-    tied = [r for ratio, r in ratios if ratio <= cut]
-    return tied[0] if len(tied) == 1 else min(tied, key=basis.__getitem__)
+def _leaving_row(ratios: list, rows, basis) -> int:
+    """Bland's ratio test on Python floats: of the ``rows`` whose
+    entering-column entry is ``> PIVOT_TOL``, with their ``ratios`` rhs /
+    entry, the index of the row with the least ratio, ties within ``1e-12``
+    (relative) going to the smallest basic index; -1 when no entry passes."""
+    if len(ratios) < 2:
+        return len(ratios) - 1
+    low = sorted(ratios)  # the least two settle the usual case, no tie
+    cut = low[0] + 1e-12 * max(1.0, abs(low[0]))
+    if low[1] > cut:
+        return ratios.index(low[0])
+    return min((i for i, ratio in enumerate(ratios) if ratio <= cut), key=lambda i: basis[rows[i]])
 
 
 def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: list,
@@ -271,11 +275,12 @@ def _pivot_until_optimal(t: np.ndarray, basis: np.ndarray, limit: int, pairs: li
         entries = column[nz]
         # the objective row is among the nonzero rows, but its entry is
         # negative, so it never passes the ratio test
-        leave = _leaving_row([(v / e, r) for r, v, e in zip(nz.tolist(), rhs[nz].tolist(),
-                                                             entries.tolist())
-                              if e > PIVOT_TOL], basis)
-        if leave < 0:
+        passing = entries > PIVOT_TOL
+        rows = nz[passing]
+        i = _leaving_row((rhs[rows] / entries[passing]).tolist(), rows.tolist(), basis)
+        if i < 0:
             return "unbounded"
+        leave = int(rows[i])
         pairs.append((enter, leave))
         if entering is not None:
             entering.append((nz, entries))
@@ -298,10 +303,13 @@ _SIGHTINGS = 256
 _PHASE2_PIVOTS = 16
 
 
-def _compact(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions as uint8 or uint16 where all fit, and their nonzero
-    doubles as int8 where all are integers in [-128, 127]."""
-    top = int(cells.max(initial=0))
+def _nonzeros(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions of the nonzero cells of ``mat``, as uint8 or
+    uint16 where all fit, and their doubles, as int8 where all are integers
+    in [-128, 127]."""
+    flat = mat.reshape(-1)
+    cells = flat.nonzero()[0]
+    values, top = flat[cells], int(cells.max(initial=0))
     cells = cells.astype(np.uint8 if top < 256 else np.uint16) if top < 65536 else cells
     if values.size and -128.0 <= values.min() and values.max() <= 127.0:
         small = values.astype(np.int8)
@@ -309,19 +317,12 @@ def _compact(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return cells, values
 
 
-def _nonzeros(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    flat = mat.reshape(-1)
-    cells = flat.nonzero()[0]
-    return _compact(cells, flat[cells])
-
-
 def _holds(mat: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray]) -> bool:
     """Whether ``mat`` has exactly the recorded nonzero cells and values (its
     shape is part of the memo key)."""
     cells, values = nonzeros
-    # counting a boolean array is faster than counting nonzero floats
-    return (np.count_nonzero(mat != 0.0) == cells.size
-            and np.array_equal(mat.reshape(-1)[cells], values))
+    return np.count_nonzero(mat) == cells.size and (
+        not cells.size or bool((mat.reshape(-1)[cells] == values).all()))
 
 
 def _held(*parts) -> int:
@@ -334,7 +335,8 @@ def _held(*parts) -> int:
 class _Node:
     """A node of a tree of recorded pivots, with its children and the choices
     that lead to them as ``kids``: ``(choice, node, choice, node, ...)``.
-    Its tuples named in ``shared`` are the tableau's, and count there."""
+    Its tuples named in ``shared`` (an end's: each row's) are the
+    tableau's, and count there."""
 
     __slots__ = ()
     shared = ()
@@ -371,27 +373,32 @@ class _Row(_Node):
 
 
 class _End(_Node):
-    """The optimum of a recorded phase 1: the tableau of the rows phase 2
-    keeps, those whose basic column is a real one, without the rhs and the
-    objective row, as ``values`` at the flat positions ``cells``; and
-    phase-2 children by entering column."""
+    """The optimum of a phase 1: the rows phase 2 keeps, those whose basic
+    column is a real one, without the rhs and the objective row, as each
+    row's nonzero ``cols`` and their ``values``; and phase-2 children by
+    entering column.  In the tree, its rows are the tableau's tuples."""
 
-    __slots__ = ("cells", "values", "kids")
+    __slots__ = ("cols", "values", "kids")
+    shared = ("cols", "values")
 
     def __init__(self, t2: np.ndarray):
-        cell_rows, cell_cols = t2[:-1, :-1].nonzero()
+        rows = t2[:-1, :-1]
+        nz = rows != 0.0  # searched faster than the floats
+        cells, width = np.flatnonzero(nz), rows.shape[1]
+        ends = np.searchsorted(cells, np.arange(0, nz.size + 1, width)).tolist()  # row starts
+        self.cols, self.values = (tuple(tuple(row[a:b]) for a, b in zip(ends, ends[1:]))
+                                  for row in ((cells % width).tolist(), rows[nz].tolist()))
         self.kids = ()
-        self.cells, self.values = _compact(cell_rows * t2.shape[1] + cell_cols,
-                                           t2[cell_rows, cell_cols])
 
     def held(self) -> int:
-        return _held(self, self.cells, self.values, self.kids)
+        return _held(self, self.cols, self.values, self.kids)
 
-    def rows(self, shape: tuple) -> np.ndarray:
-        """The recorded rows in a tableau of ``shape`` whose rhs column and
-        objective row are zeros."""
-        t = np.zeros(shape)
-        t.reshape(-1)[self.cells] = self.values
+    def rows(self, ncols: int) -> np.ndarray:
+        """The rows in a tableau of ``ncols`` columns and the rhs, whose rhs
+        column and objective row are zeros."""
+        t = np.zeros((len(self.cols) + 1, ncols + 1))
+        t.reshape(-1)[[i * (ncols + 1) + j for i, cols in enumerate(self.cols)
+                       for j in cols]] = [v for values in self.values for v in values]
         return t
 
 
@@ -425,18 +432,14 @@ def _stored(*tables: dict) -> int:
 
 
 def _kid(kids: tuple, choice: int):
-    """The node after ``choice`` in ``kids``, or None."""
-    for i in range(0, len(kids), 2):
-        if kids[i] == choice:
-            return kids[i + 1]
-    return None
+    """The node after ``choice`` (an int, never equal to a node) in ``kids``, or None."""
+    return kids[kids.index(choice) + 1] if choice in kids else None
 
 
-def _phase1_chain(tableau: _Tableau, pairs: list, columns: list, t2: np.ndarray) -> list | None:
+def _phase1_chain(tableau: _Tableau, pairs: list, columns: list, end: _End) -> list | None:
     """The pivots ``pairs`` of a phase 1 that ``tableau``'s tree lacks, with
-    the ``columns`` they entered, as new nodes ending at the rows ``t2``:
-    (owner, choice, node) links, the first where they hang in the tree; or
-    None."""
+    the ``columns`` they entered, as new nodes ending at ``end``: (owner,
+    choice, node) links, the first where they hang in the tree; or None."""
     owner = choice = None
     node, k = tableau.root, 0
     while node is not None and k < len(pairs):
@@ -446,16 +449,17 @@ def _phase1_chain(tableau: _Tableau, pairs: list, columns: list, t2: np.ndarray)
     if node is not None:
         return None
     nodes = [_Column(pairs[j][0], *columns[j]) for j in range(k, len(pairs))]
-    nodes.append(_End(t2))
+    nodes.append(end)
     return [(owner, choice, nodes[0])] + [
         (column, pairs[j][1], node)
         for j, column, node in zip(range(k, len(pairs)), nodes, nodes[1:])]
 
 
-def _phase2_chain(end: _End, pairs: tuple, shape: tuple) -> list | None:
+def _phase2_chain(end: _End, pairs: tuple, ncols: int) -> list | None:
     """The pivots ``pairs`` of a phase 2 from ``end`` that its tree lacks,
-    re-derived on the rows of ``end``, of ``shape``, without the rhs column,
-    which no other column reads; as :func:`_phase1_chain` returns them."""
+    re-derived on the rows of ``end``, of ``ncols`` columns, without the rhs
+    column, which no other column reads; as :func:`_phase1_chain` returns
+    them."""
     owner, k, column = end, 0, None
     while k < len(pairs):
         column = _kid(owner.kids, pairs[k][0])
@@ -465,8 +469,8 @@ def _phase2_chain(end: _End, pairs: tuple, shape: tuple) -> list | None:
         owner, k, column = row, k + 1, None
     if k == len(pairs):
         return None
-    t = end.rows(shape)[:-1, :-1]
-    basis = np.empty(shape[0] - 1, dtype=np.intp)
+    t = end.rows(ncols)[:-1, :-1]
+    basis = np.empty(len(t), dtype=np.intp)
     links = []
     for j, (enter, leave) in enumerate(pairs):
         nz = t[:, enter].nonzero()[0]
@@ -535,9 +539,10 @@ class _PathMemo:
             new = ({}, {})
             for node in nodes:
                 for stored, table, name in zip(tableau.tuples, new, node.shared):
-                    values = getattr(node, name)
-                    if values not in stored:
-                        table.setdefault(values, values)
+                    value = getattr(node, name)  # an end's is a tuple per row
+                    for values in value if type(node) is _End else (value,):
+                        if values not in stored:
+                            table.setdefault(values, values)
             # 16: the two items ``owner.kids`` gains
             nbytes = sum(node.held() for node in nodes) + _stored(*new) + 16 * (owner is not None)
             if tableau.nbytes + nbytes > _MEMO_BYTES:
@@ -546,7 +551,9 @@ class _PathMemo:
                 stored.update(table)
             for node in nodes:
                 for stored, name in zip(tableau.tuples, node.shared):
-                    setattr(node, name, stored[getattr(node, name)])
+                    value = getattr(node, name)
+                    setattr(node, name, tuple(map(stored.get, value)) if type(node) is _End
+                            else stored[value])
             if owner is None:
                 tableau.root = nodes[0]
                 old = self.tableaux.pop(key, None)
@@ -562,12 +569,12 @@ class _PathMemo:
         return True
 
     def sight(self, key: tuple, tableau: _Tableau, end: _End, pairs: tuple,
-              shape: tuple) -> None:
+              ncols: int) -> None:
         """Note a phase 2 that took the pivots ``pairs`` from ``end``, whose
-        rows' tableau has ``shape``; the second time from rows of the same
+        rows have ``ncols`` columns; the second time from rows of the same
         key and nonzero cells (whatever end holds them), add it to the tree."""
-        if self.seen_before(key, end.cells.tobytes(), pairs):
-            chain = _phase2_chain(end, pairs, shape)
+        if self.seen_before(key, end.cols, pairs):
+            chain = _phase2_chain(end, pairs, ncols)
             if chain is not None:
                 self.add(key, tableau, chain)
 
@@ -577,13 +584,13 @@ _MEMO = _PathMemo()
 
 def _replayed_pivot(column: _Column, rhs: list, basis: list) -> int:
     """Take a recorded pivot on ``rhs`` and ``basis`` alone, entering
-    ``column``: :func:`_leaving_row` (a lone passing row leaves), then the
-    rhs column of :func:`_eliminate` on Python floats, then the basis
-    entry.  Returns the leaving row."""
-    rows, entries, n = column.rows, column.entries, column.passing
-    leave = rows[0] if n == 1 else _leaving_row(
-        [(rhs[r] / e, r) for r, e in zip(rows, entries[:n])], basis)
-    q = rhs[leave] / entries[rows.index(leave)]
+    ``column``: :func:`_leaving_row`, then the rhs column of
+    :func:`_eliminate` on Python floats (the leaving row's ratio is its new
+    rhs), then the basis entry.  Returns the leaving row."""
+    rows, entries = column.rows, column.entries
+    ratios = [rhs[r] / e for r, e in zip(rows, entries[:column.passing])]
+    i = _leaving_row(ratios, rows, basis)
+    leave, q = rows[i], ratios[i]
     for r, e in zip(rows, entries):
         rhs[r] -= e * q
     rhs[leave] = q
@@ -593,9 +600,10 @@ def _replayed_pivot(column: _Column, rhs: list, basis: list) -> int:
 
 def _replay(tableau: _Tableau, b: np.ndarray, ncols: int) -> tuple | None:
     """Phase 1 along the recorded tree of ``tableau`` on the rhs ``b``: the
-    phase-2 rows (an objective row of zeros), their basis, the pivot count
-    and the :class:`_End` reached; or None where the ratio test picks a row
-    the tree has no child for, or where the phase 1 ends infeasible."""
+    rhs and the basis of the rows phase 2 keeps, as lists, the pivot count
+    and the :class:`_End` reached, which holds those rows; or None where the
+    ratio test picks a row the tree has no child for, or where the phase 1
+    ends infeasible."""
     rhs = b.tolist()
     objective = 0.0  # the phase-1 objective row's rhs, as its ordered reduction
     for r in tableau.art_rows:
@@ -610,9 +618,7 @@ def _replay(tableau: _Tableau, b: np.ndarray, ncols: int) -> tuple | None:
         return None
 
     keep = [i for i, j in enumerate(basis) if j < ncols]
-    t2 = node.rows((len(keep) + 1, ncols + 1))
-    t2[:-1, -1] = [rhs[i] for i in keep]
-    return t2, np.array([basis[i] for i in keep], dtype=np.intp), k, node
+    return [rhs[i] for i in keep], [basis[i] for i in keep], k, node
 
 
 def _follow(kids: tuple, obj: list, rhs: list, basis: list) -> int | None:
@@ -646,44 +652,41 @@ def _follow(kids: tuple, obj: list, rhs: list, basis: list) -> int | None:
     return pivots
 
 
-def _phase2(t2: np.ndarray, basis2: np.ndarray, c: np.ndarray, lo: np.ndarray,
-            phase1: int, phase1_replayed: int, kids: tuple) -> tuple[LpSolution, tuple]:
-    """Phase 2 on the kept constraint rows of ``t2``, whose last row becomes
-    the reduced costs of the real objective ``c``: followed along the
-    recorded tree from ``kids`` to an optimum, or else solved on ``t2``.
-    Returns the solution and the (entering, leaving) pairs of its pivots
-    when it was solved on ``t2`` to an optimum in at most
-    ``_PHASE2_PIVOTS``; else ()."""
-    n = c.size
-    ncols = t2.shape[1] - 1
-    # reduced costs: the cost row (a zero under the rhs) minus each priced
-    # basic row in turn, in one ordered reduction
-    cost = np.zeros(ncols + 1)
-    cost[:n] = c
-    basic_cost = cost[basis2]
-    priced = basic_cost.nonzero()[0]
-    terms = np.empty((priced.size + 1, ncols + 1))
-    terms[0] = cost
-    np.multiply(basic_cost[priced, None], t2[priced], out=terms[1:])
-    t2[-1] = np.subtract.reduce(terms, axis=0)
-
-    if kids:
-        obj, rhs, basis = t2[-1, :ncols].tolist(), t2[:-1, -1].tolist(), basis2.tolist()
-        followed = _follow(kids, obj, rhs, basis)
-        if followed is not None:
-            return _solution("optimal", c, lo, ncols, basis, rhs, phase1, followed,
-                             phase1_replayed, followed), ()
-        # no child for a choice: the pivots followed so far touched lists
+def _phase2(end: _End, rhs: list, basis: list, c: np.ndarray, lo: np.ndarray, ncols: int,
+            phase1: int, phase1_replayed: int, t2: np.ndarray | None = None) -> tuple:
+    """Phase 2 from the rows of ``end``, their ``rhs`` and ``basis``, on the
+    reduced costs of the real objective ``c``: followed along the recorded
+    tree of ``end`` to an optimum, or else solved on the tableau ``t2`` of
+    those rows, built where not given.  Returns the solution and the
+    (entering, leaving) pairs of its pivots when it was solved on the
+    tableau to an optimum in at most ``_PHASE2_PIVOTS``; else ()."""
+    cost = c.tolist() + [0.0] * (ncols - c.size)
+    obj = cost[:]  # minus each priced row in turn, over its nonzero cells
+    for j, cols, values in zip(basis, end.cols, end.values):
+        if cost[j]:
+            for k, v in zip(cols, values):
+                obj[k] -= cost[j] * v
+    if end.kids:
+        followed = rhs[:], basis[:]
+        pivots = _follow(end.kids, obj[:], *followed)
+        if pivots is not None:
+            return _solution("optimal", c, lo, ncols, *followed, phase1, pivots,
+                             phase1_replayed, pivots), ()
+        # no child for a choice: the pivots followed so far touched copies
         # alone, so phase 2 starts over on the rows and reduced costs
+    if t2 is None:
+        t2 = end.rows(ncols)
+        t2[:-1, -1] = rhs
+    t2[-1] = obj + [0.0]  # the rhs of the objective row is never read
     pairs = []
-    outcome = _pivot_until_optimal(t2, basis2, ncols, pairs)
-    solution = _solution(outcome, c, lo, ncols, basis2, t2[:-1, -1], phase1, len(pairs),
+    outcome = _pivot_until_optimal(t2, basis, ncols, pairs)
+    solution = _solution(outcome, c, lo, ncols, t2[:-1, -1], basis, phase1, len(pairs),
                          phase1_replayed, 0)
     recorded = outcome == "optimal" and len(pairs) <= _PHASE2_PIVOTS
     return solution, tuple(pairs) if recorded else ()
 
 
-def _solution(outcome: str, c: np.ndarray, lo: np.ndarray, ncols: int, basis, rhs,
+def _solution(outcome: str, c: np.ndarray, lo: np.ndarray, ncols: int, rhs, basis,
               *counts: int) -> LpSolution:
     """The phase-2 ``outcome`` as a solution with the pivot ``counts`` (in
     :class:`LpSolution`'s order); an optimal point is read off the rhs of
@@ -744,7 +747,7 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     tableau = _MEMO.find(key, aeq, aub)
     start = None if tableau is None else _replay(tableau, b, ncols)
     if start is not None:
-        t2, basis2, phase1, end = start
+        (rhs, basis2, phase1, end), t2 = start, None
     else:
         # one buffer holds both phases' tableaux, so neither the constraint rows
         # nor the phase-2 rows are copied into a fresh array: m constraint rows
@@ -826,19 +829,16 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         keep = (basis < ncols).nonzero()[0]
         full[:, ncols] = t[:, -1]
         t2 = full[:, :ncols + 1]
-        basis2 = basis
         if keep.size < m:
             t2 = t2[np.append(keep, m)]
-            basis2 = basis[keep]
-        end = None
+        end, rhs, basis2 = _End(t2), t2[:-1, -1].tolist(), basis[keep].tolist()
         if recording:
             # the rows are recorded before phase 2 pivots on them
             tableau = tableau or _Tableau(aeq, aub, crash_basis, art_rows)
-            chain = _phase1_chain(tableau, pairs, columns, t2)
-            if chain is not None and _MEMO.add(key, tableau, chain):
-                end = chain[-1][2]  # phase 2s hang only on ends in the tree
-    solution, pairs = _phase2(t2, basis2, c, lo, phase1, 0 if start is None else phase1,
-                              () if end is None else end.kids)
-    if end is not None and pairs:
-        _MEMO.sight(key, tableau, end, pairs, t2.shape)
+            chain = _phase1_chain(tableau, pairs, columns, end)
+            recording = chain is not None and _MEMO.add(key, tableau, chain)
+    solution, pairs = _phase2(end, rhs, basis2, c, lo, ncols, phase1,
+                              0 if start is None else phase1, t2)
+    if pairs and (start is not None or recording):  # phase 2s hang only on ends in the tree
+        _MEMO.sight(key, tableau, end, pairs, ncols)
     return solution

@@ -33,6 +33,8 @@ from .game import (PayoffMap, _price_subsets, characteristic_function, coalition
 from .scenario import Scenario, slice_horizon, validate_scenario
 
 STORAGE_DRIFT_TOL = 1e-8
+# the plan flows a step applies, as StepResult names them
+_FLOWS = ("grid_buy", "grid_sell", "coal_buy", "coal_sell", "storage_delta")
 
 
 class SimMode(Enum):
@@ -151,23 +153,16 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
     except DispatchError as exc:
         raise DispatchError(f"step {k}, {exc}") from exc
 
-    grid_buy = np.zeros(n)
-    grid_sell = np.zeros(n)
-    coal_buy = np.zeros(n)
-    coal_sell = np.zeros(n)
-    storage_delta = np.zeros(n)
-    for block in partition.blocks:
-        sol = priced.pricing(coalition_mask(block))[1]
-        idx = list(block)
-        grid_buy[idx] = sol.grid_buy[:, 0]
-        grid_sell[idx] = sol.grid_sell[:, 0]
-        coal_buy[idx] = sol.coal_buy[:, 0]
-        coal_sell[idx] = sol.coal_sell[:, 0]
-        storage_delta[idx] = sol.storage_delta[:, 0]
+    # each flow's first step, gathered over the blocks' plans at once
+    plans = [priced.pricing(coalition_mask(block))[1] for block in partition.blocks]
+    agents = [i for block in partition.blocks for i in block]
+    flows = {name: np.zeros(n) for name in _FLOWS}
+    for name, flow in flows.items():
+        flow[agents] = np.concatenate([getattr(sol, name)[:, 0] for sol in plans])
 
     charges = settle_step(partition, priced.first_step)
 
-    new_storage = state.storage + storage_delta
+    new_storage = state.storage + flows["storage_delta"]
     drift = float(np.max(np.maximum(-new_storage, new_storage - caps), initial=0.0))
     if drift > STORAGE_DRIFT_TOL:
         raise DispatchError(f"step {k}: storage bounds violated by {drift}")
@@ -177,11 +172,7 @@ def step(state: SystemState, scenario: Scenario, config: SimConfig,
     result = StepResult(
         step=k,
         partition=partition,
-        grid_buy=grid_buy,
-        grid_sell=grid_sell,
-        coal_buy=coal_buy,
-        coal_sell=coal_sell,
-        storage_delta=storage_delta,
+        **flows,
         storage_after=new_storage.copy(),
         charges=charges,
         coalition_values=dict(priced.values),

@@ -322,6 +322,11 @@ def test_equality_matrix_is_shared_and_read_only(ref_scenario):
     assert single.eq_matrix is not a.eq_matrix
     with pytest.raises(ValueError, match="read-only"):
         single.eq_matrix[0, 0] = 2.0
+    # so are the bounds of programs of equal capacities and horizon
+    again = build_coalition_lp(slice_horizon(ref_scenario, 4, 5).select((1,)), [0.5], [1.0])
+    assert again.lower is single.lower and again.upper is single.upper
+    with pytest.raises(ValueError, match="read-only"):
+        single.upper[1] = 2.0
     # a one-member plan's internal market is one shared read-only zero array
     sol = solve_individual_dispatch(slice_horizon(ref_scenario, 0, 5).select((1,)), 0.0, 1.0)
     assert sol.coal_buy is sol.coal_sell and not sol.coal_buy.any()
@@ -428,7 +433,11 @@ def test_no_program_of_a_reference_step_falls_outside_the_replay_rule(ref_scenar
 
     monkeypatch.setattr(lp, "_pivot_until_optimal", watched_pivot_until_optimal)
     monkeypatch.setattr(lp, "_eliminate", watched_eliminate)
-    monkeypatch.setattr(lp, "_replay", lambda *args: None)  # every pivot on the tableau
+    # no phase-2 start from a replay: every pivot on the tableau; and an
+    # empty memo, as a phase 2 seen in an earlier test would be re-derived
+    # by eliminations outside the pivot loop
+    monkeypatch.setattr(lp, "_replay", lambda *args: None)
+    lp._MEMO.clear()
     hs = slice_horizon(ref_scenario, 0, 5)
     storage, caps = ref_scenario.storage_init, ref_scenario.storage_capacities
     for mask in range(1, 256):

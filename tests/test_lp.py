@@ -207,6 +207,15 @@ def test_matches_dense_reference_on_ratio_ties(monkeypatch):
     assert broken["later_row"] > 0, broken
 
 
+def test_a_ratio_exactly_at_the_tie_cut_ties():
+    at_cut = 1.0 + 1e-12 * max(1.0, abs(1.0))
+    # rows 0-2 with basic columns 7, 3, 5: the second ratio ties the least
+    assert lp._leaving_row([1.0, at_cut, 2.0], [0, 1, 2], [7, 3, 5]) == 1
+    assert lp._leaving_row([1.0, 2.0, np.nextafter(at_cut, 2.0)], [0, 1, 2], [7, 3, 5]) == 0
+    assert lp._leaving_row([2.0, 1.0], [0, 1], [0, 1]) == 1
+    assert lp._leaving_row([3.0], [4], [0]) == 0 and lp._leaving_row([], [], []) == -1
+
+
 def _coalition_programs(hs, storage, caps):
     """The dispatch program of every coalition of the slice's nodes."""
     for mask in range(1, 1 << len(hs.node_ids)):
@@ -404,12 +413,13 @@ def test_infeasible_program_replays_a_feasible_path(replays):
 def test_tableau_too_big_for_the_memo_is_not_stored(monkeypatch, replays):
     small = _shared_tableau_lp([1.0, 1.0], [2.0, 1.0])
     # independent copies of the small program, enough for the big tableau
-    # alone to outweigh the small one with its tree (20 do, by 28 bytes on
-    # CPython 3.11; 24 by about 500)
-    blocks = np.eye(24)
-    big = make_program(np.tile(small.objective, 24), np.kron(blocks, small.eq_matrix),
-                       np.tile(small.eq_rhs, 24), np.kron(blocks, small.ub_matrix),
-                       np.tile(small.ub_rhs, 24), upper=np.full(96, 3.0))
+    # alone to outweigh the small one with its tree, whose end keeps a tuple
+    # of cells and one of values per row (44 do, by 152 bytes on CPython
+    # 3.11; 48 by about 600)
+    blocks = np.eye(48)
+    big = make_program(np.tile(small.objective, 48), np.kron(blocks, small.eq_matrix),
+                       np.tile(small.eq_rhs, 48), np.kron(blocks, small.ub_matrix),
+                       np.tile(small.ub_rhs, 48), upper=np.full(192, 3.0))
     want = lp_dense_reference.solve_lp(big)
     offered = []  # the bytes of each tableau offered a phase 1, before it
     add = lp._MEMO.add
@@ -534,6 +544,32 @@ def _ends(node) -> list:
     return [end for i in range(1, len(kids), 2) for end in _ends(kids[i])]
 
 
+def _grid_storage_run() -> None:
+    """A cold grid-storage run of a generated world, which leaves ends with
+    phase 2s in the memo."""
+    lp._MEMO.clear()
+    run(generate_synthetic_scenario(7, n_nodes=6, n_steps=12), SimConfig(SimMode.GRID_STORAGE))
+    assert any(end.kids for t in lp._MEMO.tableaux.values() for end in _ends(t.root))
+
+
+def test_memo_stays_whole_after_a_grid_storage_run():
+    _grid_storage_run()
+    _assert_memo_whole(lp._MEMO_BYTES)
+
+
+def test_end_counts_the_rows_it_keeps():
+    _grid_storage_run()
+    for tableau in lp._MEMO.tableaux.values():
+        rows, entries = tableau.tuples
+        for end in _ends(tableau.root):
+            # the end counts its tuples of rows, and each row is one of the
+            # tableau's stored tuples, which the tableau counts once
+            assert end.held() >= lp._held(end.cols, end.values)
+            assert all(cols is rows[cols] for cols in end.cols)
+            assert all(values is entries[values] for values in end.values)
+            assert tableau.held() >= lp._held(*set(end.cols)) + lp._held(*set(end.values))
+
+
 def test_non_integral_program_keeps_float64_storage(replays):
     rng = np.random.default_rng(19)
     prog = next(p for p in (random_box_lp(rng, max_vars=6) for _ in range(100))
@@ -542,7 +578,9 @@ def test_non_integral_program_keeps_float64_storage(replays):
     assert_same_solution(solve_recorded(prog), want)
     (tableau,) = lp._MEMO.tableaux.values()
     (end,) = _ends(tableau.root)
-    assert tableau.eq[1].dtype == end.values.dtype == np.float64
+    assert tableau.eq[1].dtype == np.float64
+    # the end's rows keep their doubles as Python floats, the same bits
+    assert any(v != round(v) for values in end.values for v in values)
     assert_same_solution(solve_lp(prog), want)
     assert replays == [True]
 
@@ -556,14 +594,18 @@ def test_dispatch_programs_are_stored_in_small_integers(ref_scenario, replays):
     assert_same_solution(solve_recorded(grand), want)
     (tableau,) = lp._MEMO.tableaux.values()
     (end,) = _ends(tableau.root)
-    assert tableau.eq[1].dtype == end.values.dtype == np.int8
-    assert tableau.eq[0].dtype == np.uint16 and end.cells.dtype == np.uint16
-    # every node holds the tableau's stored tuples
+    assert tableau.eq[1].dtype == np.int8 and tableau.eq[0].dtype == np.uint16
+    # every node holds the tableau's stored tuples, an end one pair per row,
+    # and the grand coalition's rows share most of them
     rows, entries = tableau.tuples
     node = tableau.root
     while type(node) is lp._Column:
         assert node.rows is rows[node.rows] and node.entries is entries[node.entries]
         node = node.kids[1]
+    assert node is end
+    for cols, values in zip(end.cols, end.values):
+        assert cols is rows[cols] and values is entries[values]
+    assert len(set(end.values)) < len(end.values) / 4
     assert_same_solution(solve_lp(grand), want)
     assert replays == [True]
 

@@ -3,22 +3,25 @@
 Worlds come from ``generate_synthetic_scenario`` with 1-4 nodes and 1-4
 steps (2-5 nodes and 1-6 steps for the pooled-program certificate and the
 lexicographic plan, 2-6 nodes and horizons 1-6 for the batched recursion
-against its loop reference); the
+against its loop reference, 1-4 nodes, 1-5 steps and horizons 2-6 for the
+one-member programs solved three ways); the
 horizon, the re-formation period and the loss weight are drawn too.
 Examples are derandomized, so every run checks the same cases.
 """
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
-from helpers import split_pooled_plan, traces_equal
+from helpers import solve_cold, split_pooled_plan, traces_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from one_step_cost_reference import assert_same_first_steps
 from pooled_loop_reference import assert_same_pricing, pooled_value
 
-from coopgrid.dispatch import coalition_value, mean_pairwise_distance
+from coopgrid import lp
+from coopgrid.dispatch import build_coalition_lp, coalition_value, mean_pairwise_distance
 from coopgrid.errors import ScenarioError
 from coopgrid.game import characteristic_function, coalition_members
 from coopgrid.oracles import lexicographic_pooled_levels, pooled_market_cost
@@ -166,6 +169,70 @@ def test_batched_recursion_is_the_loop_bit_for_bit(seed, n_nodes, n_steps, horiz
                                     priced)
         # and every first-step cost, the members alone too
         assert_same_first_steps(cf, window, rho)
+
+
+def _one_member_programs(world, config):
+    """The program of each member alone at each step of a run of ``world``,
+    at the storage levels the run starts the step with."""
+    trace = run(world, config)
+    levels = [world.storage_init] + [res.storage_after for res in trace.steps[:-1]]
+    caps = world.storage_capacities
+    for k, storage in enumerate(levels):
+        window = slice_horizon(world, k, config.horizon)
+        for i in range(world.n_nodes):
+            yield build_coalition_lp(window.select((i,)), storage[[i]], caps[[i]])
+
+
+def _assert_solved_alike(got, want, replayed) -> None:
+    assert got.point.tobytes() == want.point.tobytes()
+    assert got.objective_value.hex() == want.objective_value.hex()
+    assert (got.phase1_pivots, got.phase2_pivots) == (want.phase1_pivots, want.phase2_pivots)
+    assert (got.phase1_replayed, got.phase2_replayed) == replayed
+
+
+def _solve_three_ways(prog) -> bool:
+    """Solve ``prog`` cold (an empty memo, no replay), warm along the tree,
+    and, where its phase 2 takes two or more pivots, warm with the tree cut
+    after the first, so that phase 2 leaves it after one followed pivot;
+    every way gives the same bits.  Returns whether the third way ran."""
+    with mock.patch.object(lp, "_replay", lambda *args: None):
+        cold = solve_cold(prog)
+    _assert_solved_alike(cold, cold, (0, 0))
+    lp.solve_lp(prog)  # records phase 1
+    lp.solve_lp(prog)  # records phase 2, seen twice
+    followed = lp.solve_lp(prog)
+    _assert_solved_alike(followed, cold, (cold.phase1_pivots, cold.phase2_pivots))
+    if cold.phase2_pivots < 2:
+        return False
+    (tableau,) = lp._MEMO.tableaux.values()  # one phase 1 and one phase 2 recorded
+    node = tableau.root
+    while type(node) is not lp._End:
+        node = node.kids[1]
+    node.kids[1].kids[1].kids = ()  # the row after the first phase-2 pivot
+    with mock.patch.object(lp, "_replayed_pivot", wraps=lp._replayed_pivot) as pivot:
+        left = lp.solve_lp(prog)
+    lp._MEMO.clear()  # its byte counts no longer match the cut tree
+    assert pivot.call_count == cold.phase1_pivots + 1
+    _assert_solved_alike(left, cold, (cold.phase1_pivots, 0))
+    return True
+
+
+@_settings(25)
+@given(seed=seeds, n_nodes=st.integers(1, 4), n_steps=st.integers(1, 5),
+       horizon=st.integers(2, 6), mode=st.sampled_from([SimMode.GRID_STORAGE,
+                                                         SimMode.COALITIONAL]))
+def test_one_member_programs_solve_alike_cold_followed_and_leaving_the_tree(
+        seed, n_nodes, n_steps, horizon, mode):
+    world = generate_synthetic_scenario(seed, n_nodes=n_nodes, n_steps=n_steps)
+    for prog in _one_member_programs(world, SimConfig(mode=mode, horizon=horizon)):
+        _solve_three_ways(prog)
+
+
+def test_one_member_programs_of_a_generated_world_leave_the_tree_alike():
+    world = generate_synthetic_scenario(11, n_nodes=4, n_steps=6)
+    programs = list(_one_member_programs(world, SimConfig(mode=SimMode.GRID_STORAGE)))
+    left = sum(_solve_three_ways(prog) for prog in programs)
+    assert len(programs) == 24 and left >= 8
 
 
 json_values = st.recursive(
