@@ -15,15 +15,12 @@ minimum-circulation optimum.  Transfer losses are charged after the fact
 as ``loss_weight * mean_pair_distance * sum(coal_buy^2)`` on the plan and
 added to the market cost.
 
-The recursion prices every subset of two or more members of a block at
-once (``_pooled_subsets``): each subset's pooled inputs are those of the
-subset without its highest member plus that member, so one table per
-input is built by doubling over the members, and both passes run over
-all subsets as padded arrays.  It hands its v(S) and first-step costs
-over as arrays (:class:`PooledRows`) and makes a subset's
-``(breakdown, plan)`` only on demand.  ``game`` prices each block's
-subsets so; ``coalition_value`` runs the passes on the row of the whole
-coalition only.
+One call of the recursion prices every subset of two or more members of
+every block of a step (``_pooled_subsets``): a block's tables are built
+by doubling over its members, and both passes and the split run once over
+the rows of all blocks.  It hands v(S) and first-step costs over as
+arrays (:class:`PooledRows`) and makes a subset's ``(breakdown, plan)``
+only on demand; ``coalition_value`` runs it on the whole coalition only.
 
 A run solves thousands of small one-member programs, and the equality
 matrix of a program depends only on the member count and the horizon.
@@ -258,113 +255,48 @@ def solve_individual_dispatch(slice_: HorizonSlice, storage_init: float,
 
 @dataclass
 class PooledRows:
-    """The subsets of two or more members of one block that
-    ``_pooled_subsets`` priced, as arrays over its rows: ``index`` maps
-    each subset's mask to its row, in increasing mask order.  Per row:
-    the market cost, the loss cost, v(S) (``total``), the mean pairwise
-    distance r(S), and the first-step cost that settlement splits, the grid
-    money at step 0 plus ``rho * r(S) * sum_i cb[i,0]^2``.  ``crossed``
-    lists the masks left out, whose tariffs cross.  :meth:`pricing` builds
-    one subset's ``(breakdown, plan)`` on demand; its plan arrays are views
-    of the batch's arrays for the subset's member count, to be treated as
-    read-only."""
+    """The subsets of two or more members of a step's blocks that
+    ``_pooled_subsets`` priced: ``index`` maps each mask to its row.  Per
+    row: market and loss cost, v(S) (``total``), the mean pairwise distance
+    r(S), the first-step cost that settlement splits (grid money at step 0
+    plus ``rho * r(S) * sum_i cb[i,0]^2``), the member count and its first
+    (row, member) pair in ``plans``.  ``crossed`` lists the masks left out,
+    whose tariffs cross.  Plans are views of ``plans``, to be read only."""
 
-    members: tuple[int, ...]
     index: dict[int, int]
     market: np.ndarray
     loss: np.ndarray
     total: np.ndarray
     distance: np.ndarray
     first_step: np.ndarray
+    count: np.ndarray
+    first: np.ndarray
+    plans: tuple[np.ndarray, ...]  # (pair, horizon): DispatchSolution's six arrays, in order
     crossed: list[int]
-    plans: dict[int, tuple[np.ndarray, ...]]  # member count k -> (g, k, h) plan arrays
-    count: np.ndarray  # each row's member count
-    slot: np.ndarray   # and its index in that count's plan arrays
 
     def pricing(self, mask: int) -> tuple[CoalitionValueBreakdown, DispatchSolution]:
         """``(breakdown, plan)`` of the subset ``mask``; KeyError when the
         batch did not price it."""
         i = self.index[mask]
-        j = int(self.slot[i])
-        delta, levels, grid_buy, grid_sell, coal_buy, coal_sell = self.plans[int(self.count[i])]
+        pairs = slice(int(self.first[i]), int(self.first[i] + self.count[i]))
+        members = tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
         market = float(self.market[i])
-        plan = DispatchSolution(
-            members=tuple(a for a in self.members if mask >> a & 1),
-            storage_delta=delta[j], storage_level=levels[j], grid_buy=grid_buy[j],
-            grid_sell=grid_sell[j], coal_buy=coal_buy[j], coal_sell=coal_sell[j],
-            market_cost=market, programs=0, phase1_pivots=0, phase2_pivots=0,
-            phase1_replayed=0, phase2_replayed=0)
+        plan = DispatchSolution(members, *(a[pairs] for a in self.plans), market_cost=market,
+                                programs=0, phase1_pivots=0, phase2_pivots=0,
+                                phase1_replayed=0, phase2_replayed=0)
         return CoalitionValueBreakdown(
             market_cost=market, loss_cost=float(self.loss[i]), total=float(self.total[i]),
             mean_distance=float(self.distance[i])), plan
 
 
-def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: HorizonSlice,
-                    loss_weight: float, whole: bool = False) -> PooledRows:
-    """Price every subset of two or more of ``members`` (sorted, distinct)
-    as one pooled node, all subsets at once (MODEL.md sections 2 and 5);
-    with ``whole``, only the subset of all the members (``coalition_value``).
-
-    Bit i of a mask is set for agent i.  A subset whose tariffs cross at
-    some step (``q_t >= p_t``) is left out; ``coalition_value`` raises its
-    error.  The members' levels are the caller's to check: every subset
-    holding a member is priced after that member alone, whose program
-    refuses a level outside its capacity.
-
-    Row r of the subset tables holds the members whose bits are set in r
-    (bit j for ``members[j]``).  The rows with bit j as their highest are
-    the rows below 2^j plus member j, so the summed need, capacity and level
-    are the same additions, in member order, as a per-coalition loop makes,
-    and the lowest buy and highest sell price keep their lowest-id holder.
-    Both passes and the split then run on the rows priced only.  Each
-    cost-to-go V_t is kept per row as segment starts and right slopes,
-    padded with starts at C and slopes of +inf; every slope is a price or
-    0, so every slope comparison is exact.  The forward pass takes the
-    smallest minimizer at each step, which gives the lexicographically
-    smallest least-cost level path, with Python's ``max`` tie rules.
-    """
-    ids = tuple(members)
-    hs = slice_.select(ids)
-    net = hs.demand - hs.generation
-    s0 = np.asarray(storage_levels, dtype=float)[list(ids)]
-    caps = np.array([scenario.nodes[i].storage_capacity for i in ids], dtype=float)
-    n, h = len(ids), hs.horizon
-
-    # subset tables, doubled over the members in increasing id
-    size = 1 << n
-    need = np.zeros((size, h))
-    capacity = np.zeros(size)
-    level = np.zeros(size)
-    count = np.zeros(size, dtype=int)
-    p = np.full((size, h), np.inf)   # lowest buy price
-    buyer = np.zeros((size, h), dtype=int)  # its holder's slot among the row's members
-    q = np.full((size, h), -np.inf)  # highest sell price
-    seller = np.zeros((size, h), dtype=int)
-    masks = [0]
-    for j, agent in enumerate(ids):
-        base, top = slice(0, 1 << j), slice(1 << j, 2 << j)
-        need[top] = need[base] + net[j]
-        capacity[top] = capacity[base] + caps[j]
-        level[top] = level[base] + s0[j]
-        count[top] = count[base] + 1
-        cheaper = hs.buy_price[j] < p[base]
-        p[top] = np.where(cheaper, hs.buy_price[j], p[base])
-        buyer[top] = np.where(cheaper, count[base, None], buyer[base])
-        dearer = hs.sell_price[j] > q[base]
-        q[top] = np.where(dearer, hs.sell_price[j], q[base])
-        seller[top] = np.where(dearer, count[base, None], seller[base])
-        masks += [mask | 1 << agent for mask in masks]
-    rows = np.array([size - 1]) if whole else np.flatnonzero(count >= 2)
-    crossed = (q[rows] >= p[rows]).any(axis=1)
-    left_out = [masks[r] for r in rows[crossed].tolist()]
-    rows = rows[~crossed]
-    need, capacity, level, count = need[rows], capacity[rows], level[rows], count[rows]
-    p, q, buyer, seller = p[rows], q[rows], buyer[rows], seller[rows]
-    m = len(rows)
-    positions = tuple(tuple(scenario.nodes[i].position) for i in ids)
-    distance = (np.full(m, _mean_distance(positions)) if whole
-                else _subset_distances(positions)[rows])
-
+def _least_cost_paths(need, capacity, level, best) -> tuple[np.ndarray, ...]:
+    """Each row's pooled level path, grid purchases and sales, from its
+    need, capacity C, level and prices (``best``: p_t, then -q_t).  V_t is
+    kept as segment starts and right slopes, padded with starts at C and
+    slopes of +inf; every slope is a price or 0, so every comparison is
+    exact.  The forward pass takes the smallest minimizer at each step: the
+    lexicographically smallest least-cost path, with ``max``'s tie rules."""
+    m, h = need.shape
     # backward: a_t and b_t are the smallest levels where V_{t+1}'s right
     # slope reaches -p_t and -q_t (C if it never does); V_t is V_{t+1}
     # between them, with rays of slope -p_t below and -q_t above, at the
@@ -378,7 +310,7 @@ def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: Horizon
     slopes[:, 0] = 0.0  # V_h = 0
     a, b = np.empty((m, h)), np.empty((m, h))
     for t in reversed(range(h)):
-        buy, sell = -p[:, t, None], -q[:, t, None]
+        buy, sell = -best[:, t, None], best[:, h + t, None]
         j = (slopes >= sell).argmax(axis=1)
         a[:, t] = starts[each, (slopes >= buy).argmax(axis=1)]
         b[:, t] = starts[each, j]
@@ -416,51 +348,120 @@ def _pooled_subsets(members, storage_levels, scenario: Scenario, slice_: Horizon
         bought[:, t] = np.where(d > 0.0, d, 0.0)
         d = z - s
         sold[:, t] = np.where(d > 0.0, d, 0.0)
+    return path, bought, sold
 
-    # split and price, one group of rows per member count; each row's
-    # sums over the horizon run over one contiguous (member, step) row,
-    # and its first-step grid money member by member from 0.0, in member
-    # order, as a per-coalition loop adds them
-    market, squares, first_step = np.empty(m), np.empty(m), np.empty(m)
-    slot = np.empty(m, dtype=int)
-    plans = {}
-    steps = np.arange(h)
-    for k in range(2, n + 1):
-        group = np.flatnonzero(count == k)
-        if not len(group):
-            continue
-        g = len(group)
-        slot[group] = np.arange(g)
-        local = np.nonzero((rows[group, None] >> np.arange(n)) & 1)[1].reshape(g, k)
-        pool = capacity[group, None]  # a pool of no capacity has levels 0 throughout
-        share = np.divide(caps[local], pool, out=np.zeros((g, k)), where=pool != 0.0)
-        levels = share[:, :, None] * path[group, None, :]
-        delta = np.diff(levels, axis=2, prepend=s0[local][:, :, None])
-        grid_buy = np.zeros_like(levels)
-        grid_buy[np.arange(g)[:, None], buyer[group], steps] = bought[group]
-        grid_sell = np.zeros_like(levels)
-        grid_sell[np.arange(g)[:, None], seller[group], steps] = sold[group]
-        member_need = net[local] + delta + grid_sell - grid_buy
-        coal_buy = np.maximum(member_need, 0.0)
-        coal_sell = np.maximum(-member_need, 0.0)
-        market[group] = (hs.buy_price[local] * grid_buy
-                         - hs.sell_price[local] * grid_sell).reshape(g, -1).sum(axis=1)
-        squares[group] = (coal_buy ** 2).reshape(g, -1).sum(axis=1)
-        money = (hs.buy_price[local, 0] * grid_buy[:, :, 0]
-                 - hs.sell_price[local, 0] * grid_sell[:, :, 0])
-        cost = np.zeros(g)
-        for i in range(k):
-            cost += money[:, i]
-        if loss_weight:
-            cost += loss_weight * distance[group] * (coal_buy[:, :, 0] ** 2).sum(axis=1)
-        first_step[group] = cost
-        plans[k] = delta, levels, grid_buy, grid_sell, coal_buy, coal_sell
+
+def _pooled_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSlice,
+                    loss_weight: float, whole: bool = False) -> PooledRows:
+    """Price every subset of two or more members of each of ``blocks``
+    (sorted, disjoint) as one pooled node, all at once (MODEL.md sections 2
+    and 5); with ``whole``, only the one block's whole coalition.
+
+    Bit i of a mask is set for agent i.  A subset whose tariffs cross at
+    some step (``q_t >= p_t``) is left out; ``coalition_value`` raises its
+    error.  The levels are the caller's to check: every subset holding a
+    member is priced after that member alone, whose program refuses a
+    level outside its capacity.
+
+    Row r of a block's tables holds the members whose bits are set in r
+    (bit j for its j-th member).  The rows with bit j as their highest are
+    the rows below 2^j plus member j, so the summed need, capacity and
+    level are the same additions, in member order, as a per-coalition loop
+    makes, and the lowest buy and highest sell price keep their lowest-id
+    holder.  The rows are stacked block after block; the passes and the
+    split work row by row, so stacking changes no bit of a row.
+    """
+    blocks = [tuple(block) for block in blocks if len(block) > 1]
+    ids = [i for block in blocks for i in block]
+    hs = slice_.select(ids)
+    net = hs.demand - hs.generation
+    s0 = np.asarray(storage_levels, dtype=float)[ids]
+    caps = np.array([scenario.nodes[i].storage_capacity for i in ids], dtype=float)
+    h = hs.horizon
+
+    # subset tables, doubled over each block's members in increasing id:
+    # per row the summed need, capacity, level and member count, and p_t
+    # and -q_t, each with its holder's slot among the row's members
+    own = np.column_stack([net, caps, s0, np.ones(len(ids))])
+    prices = np.concatenate([hs.buy_price, -hs.sell_price], axis=1)
+    tables, masks, left_out, offset = [], [], [], 0
+    for block in blocks:
+        size = 1 << len(block)
+        sums = np.zeros((size, h + 3))
+        best = np.full((size, 2 * h), np.inf)
+        holder = np.zeros((size, 2 * h))
+        local = [0]
+        for j, agent in enumerate(block):
+            base, top, at = slice(0, 1 << j), slice(1 << j, 2 << j), offset + j
+            sums[top] = sums[base] + own[at]
+            better = prices[at] < best[base]
+            best[top] = np.where(better, prices[at], best[base])
+            holder[top] = np.where(better, sums[base, h + 2, None], holder[base])
+            local += [mask | 1 << agent for mask in local]
+        rows = np.array([size - 1]) if whole else np.flatnonzero(sums[:, h + 2] >= 2)
+        crossed = (-best[rows, h:] >= best[rows, :h]).any(axis=1)
+        left_out += [local[r] for r in rows[crossed].tolist()]
+        rows = rows[~crossed]
+        masks += [local[r] for r in rows.tolist()]
+        positions = tuple(tuple(scenario.nodes[i].position) for i in block)
+        distance = (np.full(len(rows), _mean_distance(positions)) if whole
+                    else _subset_distances(positions)[rows])
+        tables.append((sums[rows], best[rows], holder[rows], distance, rows,
+                       np.full(len(rows), offset)))
+        offset += len(block)
+    sums, best, holder, distance, rows, offsets = map(np.concatenate, zip(*tables))
+    del tables  # the per-block copies, before the passes allocate
+    capacity, count, m = sums[:, h], sums[:, h + 2].astype(int), len(masks)
+    path, bought, sold = _least_cost_paths(sums[:, :h], capacity, sums[:, h + 1], best)
+
+    # split, on one (row, member) pair per member of each row, ordered by
+    # member count, then row, then member: the rows of k members are one
+    # contiguous (rows, k, h) run of pairs
+    widest = int(count.max(initial=0))
+    counts = np.arange(widest + 1)[:, None] == count
+    order = np.nonzero(counts)[1]
+    first = np.empty(m, dtype=int)
+    first[order] = np.cumsum(count[order]) - count[order]
+    row, slot = np.nonzero((rows[order, None] >> np.arange(widest)) & 1)
+    row = order[row]
+    member = offsets[row] + slot
+    rank = (np.arange(len(row)) - first[row])[:, None]  # the member's slot among the row's
+    pool = capacity[row]  # a pool of no capacity has levels 0 throughout
+    share = np.divide(caps[member], pool, out=np.zeros(len(row)), where=pool != 0.0)
+    levels = share[:, None] * path[row]
+    delta = np.diff(levels, axis=1, prepend=s0[member][:, None])
+    grid_buy = np.where(rank == holder[row, :h], bought[row], 0.0)
+    grid_sell = np.where(rank == holder[row, h:], sold[row], 0.0)
+    member_need = net[member] + delta + grid_sell - grid_buy
+    coal_sell = np.maximum(-member_need, 0.0)
+    coal_buy = np.maximum(member_need, 0.0, out=member_need)
+    money = hs.buy_price[member] * grid_buy - hs.sell_price[member] * grid_sell
+    squared = coal_buy ** 2
+    squared_now = squared[:, 0].copy()
+    # each row's sums run over its contiguous (member, step) cells, and its
+    # first-step coalition purchases over its k members, per member count
+    market, squares, bought_now = np.empty(m), np.empty(m), np.empty(m)
+    lo = at = 0
+    for k, g in enumerate(counts.sum(axis=1).tolist()):
+        if g:
+            group, pairs = order[lo:lo + g], slice(at, at + k * g)
+            market[group] = money[pairs].reshape(g, -1).sum(axis=1)
+            squares[group] = squared[pairs].reshape(g, -1).sum(axis=1)
+            bought_now[group] = squared_now[pairs].reshape(g, k).sum(axis=1)
+            lo, at = lo + g, at + k * g
+    # the first-step grid money member by member from 0.0, in member order,
+    # as a per-coalition loop adds them; +0.0 pads a row past its members
+    table = np.zeros((widest, m))
+    table[rank[:, 0], row] = money[:, 0]
+    first_step = sum(table, np.zeros(m))
+    if loss_weight:
+        first_step += loss_weight * distance * bought_now
     loss = loss_weight * distance * squares
-    priced = [masks[r] for r in rows.tolist()]
-    return PooledRows(members=ids, index=dict(zip(priced, range(m))), market=market,
-                      loss=loss, total=market + loss, distance=distance,
-                      first_step=first_step, crossed=left_out, plans=plans,
-                      count=count, slot=slot)
+    return PooledRows(index=dict(zip(masks, range(m))), market=market, loss=loss,
+                      total=market + loss, distance=distance, first_step=first_step,
+                      count=count, first=first,
+                      plans=(delta, levels, grid_buy, grid_sell, coal_buy, coal_sell),
+                      crossed=left_out)
 
 
 def mean_pairwise_distance(positions) -> float:
@@ -526,8 +527,7 @@ def coalition_value(members, storage_levels, scenario: Scenario, slice_: Horizon
                                         float(caps[0]))
         return CoalitionValueBreakdown(sol.market_cost, 0.0, sol.market_cost, 0.0), sol
     _storage_bounds(members, storage[list(members)], caps)
-    # the batch over the coalition's subsets, on its full-mask row only
-    priced = _pooled_subsets(members, storage, scenario, slice_, loss_weight, whole=True)
+    priced = _pooled_subsets([members], storage, scenario, slice_, loss_weight, whole=True)
     if priced.crossed:
         raise _dispatch_failure(slice_.select(members), LpStatus.UNBOUNDED)
     return priced.pricing(sum(1 << i for i in members))

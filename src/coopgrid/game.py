@@ -8,13 +8,14 @@ The sweep and ``sim.step``'s repricing of retained blocks share one loop
 over the subsets of blocks, on the step's horizon slice.  That loop
 builds the step's one table of priced coalitions, a
 :class:`CharacteristicFunction`: v(S) and the first-step cost of every
-mask, and each coalition's ``(breakdown, plan)`` on demand.  A block's
-subsets of two or more members are priced together by one batched pooled
-recursion (``dispatch._pooled_subsets``), whose arrays fill the table
-with no per-coalition object; each member alone is priced by
-``coalition_value``.  The members alone and the subsets the batch left
-out are taken in increasing mask order, so an error names the first
-subset that fails.
+mask, and each coalition's ``(breakdown, plan)`` on demand.  The subsets
+of two or more members of every block of the step are priced together by
+one batched pooled recursion (``dispatch._pooled_subsets``), whose arrays
+fill the table with no per-coalition object; grid modes and steps of
+singletons make no batch.  Each member alone is priced by
+``coalition_value``.  Block by block, the members alone and the subsets
+the batch left out are taken in increasing mask order, so an error names
+the first subset that fails.
 
 Every coalition-cost table is a mask -> cost mapping, a plain dict or a
 :class:`CharacteristicFunction`; a whole game's agent count is read off
@@ -66,13 +67,13 @@ class CharacteristicFunction(Mapping):
     the first-step costs that settlement splits.  :meth:`pricing` gives a
     coalition's ``(breakdown, plan)``: a one-member coalition's as its
     program priced it (``singles``), a larger one's built on demand from
-    the batch that priced it (``batches``)."""
+    the step's batch (``batch``)."""
 
     values: dict[int, float] = field(default_factory=dict)
     first_step: dict[int, float] = field(default_factory=dict)
     singles: dict[int, tuple[CoalitionValueBreakdown, DispatchSolution]] = field(
         default_factory=dict)
-    batches: dict[int, PooledRows] = field(default_factory=dict)
+    batch: PooledRows | None = None
 
     def __getitem__(self, mask: int) -> float:
         return self.values[mask]
@@ -85,9 +86,9 @@ class CharacteristicFunction(Mapping):
 
     def pricing(self, mask: int) -> tuple[CoalitionValueBreakdown, DispatchSolution]:
         """``(breakdown, plan)`` of the coalition ``mask``."""
-        if mask in self.singles:
+        if mask in self.singles or self.batch is None:
             return self.singles[mask]
-        return self.batches[mask].pricing(mask)
+        return self.batch.pricing(mask)
 
 
 @dataclass
@@ -110,24 +111,27 @@ class PayoffMap:
 def _price_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSlice,
                    loss_weight: float) -> CharacteristicFunction:
     """Price every nonempty subset of each block into one table: the
-    subsets of two or more members by one batched pooled recursion per
-    block, each member alone by ``coalition_value``, with its first-step
-    cost.  The members alone and the subsets the batch left out go to
-    ``coalition_value`` in increasing mask order, which raises the error
-    of a subset left out, so an error names the first subset that fails.
-    Private, as the tracer in ``perfbench/`` counts pricings by the public
-    function that calls them."""
-    table = CharacteristicFunction()
+    subsets of two or more members of every block by one batched pooled
+    recursion per step, each member alone by ``coalition_value``, with its
+    first-step cost.  Block by block, the members alone and the subsets
+    the batch left out go to ``coalition_value`` in increasing mask order,
+    which raises the error of a subset left out, so an error names the
+    first subset that fails.  Private, as the tracer in ``perfbench/``
+    counts pricings by the public function that calls them."""
+    table, crossed = CharacteristicFunction(), []
+    blocks = [tuple(block) for block in blocks]
+    if any(len(block) > 1 for block in blocks):
+        batch = table.batch = _pooled_subsets(blocks, storage_levels, scenario, slice_,
+                                              loss_weight)
+        table.values.update(zip(batch.index, batch.total.tolist()))
+        table.first_step.update(zip(batch.index, batch.first_step.tolist()))
+        crossed = batch.crossed
     buy, sell = slice_.buy_price[:, 0].tolist(), slice_.sell_price[:, 0].tolist()
     for block in blocks:
-        block = tuple(block)
         rest = [1 << i for i in block]
-        if len(block) > 1:
-            batch = _pooled_subsets(block, storage_levels, scenario, slice_, loss_weight)
-            table.values.update(zip(batch.index, batch.total.tolist()))
-            table.first_step.update(zip(batch.index, batch.first_step.tolist()))
-            table.batches.update(dict.fromkeys(batch.index, batch))
-            rest = sorted(rest + batch.crossed)
+        if len(block) > 1 and crossed:  # with the block's subsets the batch left out
+            full = sum(rest)
+            rest = sorted(rest + [sub for sub in crossed if sub & full == sub])
         for sub in rest:
             members = coalition_members(sub)
             try:

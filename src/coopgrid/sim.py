@@ -9,10 +9,10 @@ step, and realized money is settled inside each block with a one-step
 Shapley allocation built from the first-step costs of the same priced plans.
 The step keeps one table of priced coalitions
 (``game.CharacteristicFunction``): v(S) and the first-step cost of every
-mask, read off the arrays of one batched pooled recursion per block for
+mask, read off the arrays of one batched pooled recursion per step for
 coalitions of two or more members (``game._price_subsets``), and the
 program's plan of each member alone.  The settlement reads the first-step
-costs; a ``DispatchSolution`` is made only for each applied block, from its
+costs; a ``DispatchSolution`` is made only for each applied block, from the
 batch's arrays.  No program is solved for a pooled coalition, so
 ``StepResult.lp_programs`` and the pivot counters sum over the one-member
 coalitions only.

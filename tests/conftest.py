@@ -9,6 +9,13 @@ def ref_scenario():
     return reference_scenario()
 
 
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Every test starts from an empty pivot memo: ``lp._MEMO`` is module
+    state, and a test must not depend on the paths earlier tests left."""
+    lp._MEMO.clear()
+
+
 @pytest.fixture
 def replays(monkeypatch):
     """Each phase-1 replay ``solve_lp`` attempts: True when it followed a

@@ -3,7 +3,8 @@
 Worlds come from ``generate_synthetic_scenario`` with 1-4 nodes and 1-4
 steps (2-5 nodes and 1-6 steps for the pooled-program certificate and the
 lexicographic plan, 2-6 nodes and horizons 1-6 for the batched recursion
-against its loop reference, 1-4 nodes, 1-5 steps and horizons 2-6 for the
+against its loop reference, 2-7 nodes for the batch over a drawn
+partition's blocks, 1-4 nodes, 1-5 steps and horizons 2-6 for the
 one-member programs solved three ways); the
 horizon, the re-formation period and the loss weight are drawn too.
 Examples are derandomized, so every run checks the same cases.
@@ -23,7 +24,8 @@ from pooled_loop_reference import assert_same_pricing, pooled_value
 from coopgrid import lp
 from coopgrid.dispatch import build_coalition_lp, coalition_value, mean_pairwise_distance
 from coopgrid.errors import ScenarioError
-from coopgrid.game import characteristic_function, coalition_members
+from coopgrid.formation import Partition
+from coopgrid.game import _price_subsets, characteristic_function, coalition_members
 from coopgrid.oracles import lexicographic_pooled_levels, pooled_market_cost
 from coopgrid.scenario import (generate_synthetic_scenario, load_scenario, serialize_scenario,
                                slice_horizon, validate_scenario)
@@ -134,16 +136,9 @@ def test_pooled_plan_is_the_lexicographic_least_cost_plan(seed, n_nodes, n_steps
         assert abs(breakdown.total - want) <= 1e-9 * abs(want), members
 
 
-@_settings(40)
-@given(seed=seeds, n_nodes=st.integers(2, 6), n_steps=st.integers(1, 4),
-       horizon=st.integers(1, 6), rho=rhos, data=st.data())
-def test_batched_recursion_is_the_loop_bit_for_bit(seed, n_nodes, n_steps, horizon, rho,
-                                                  data):
-    # every coalition of two or more members at every step, from drawn
-    # levels, in a world with drawn zero-capacity members whose nodes take
-    # a lower node's buy or sell prices, so that prices tie across members;
-    # the batch's row against the loop and against a direct call, and every
-    # coalition's first-step cost against the loop settlement used
+def _tied_world(data, seed, n_nodes, n_steps):
+    """A generated world with drawn zero-capacity members whose nodes take
+    a lower node's buy or sell prices, so that prices tie across members."""
     world = generate_synthetic_scenario(seed, n_nodes=n_nodes, n_steps=n_steps)
     empty = data.draw(st.sets(st.integers(0, n_nodes - 1)))
     nodes = []
@@ -155,20 +150,69 @@ def test_batched_recursion_is_the_loop_bit_for_bit(seed, n_nodes, n_steps, horiz
                              sell_price=world.nodes[sell].sell_price))
     world = replace(world, nodes=nodes)
     assert not validate_scenario(world)
+    return world
+
+
+def _assert_rows_are_the_loop(table, storage, world, window, rho) -> None:
+    """Every coalition of two or more members in ``table`` against the loop
+    and against a direct call, and every first-step cost against the loop
+    settlement used."""
+    for mask in table:
+        members = coalition_members(mask)
+        if len(members) > 1:
+            priced = table.pricing(mask)
+            assert_same_pricing(priced, pooled_value(members, storage, world, window, rho))
+            assert_same_pricing(coalition_value(members, storage, world, window, rho), priced)
+    # and every first-step cost, the members alone too
+    assert_same_first_steps(table, window, rho)
+
+
+@_settings(40)
+@given(seed=seeds, n_nodes=st.integers(2, 6), n_steps=st.integers(1, 4),
+       horizon=st.integers(1, 6), rho=rhos, data=st.data())
+def test_batched_recursion_is_the_loop_bit_for_bit(seed, n_nodes, n_steps, horizon, rho,
+                                                  data):
+    # every coalition of two or more members at every step, from drawn
+    # levels, in a world whose prices tie across members
+    world = _tied_world(data, seed, n_nodes, n_steps)
     fill = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_nodes, max_size=n_nodes))
     storage = np.array(fill) * world.storage_capacities
     for k in range(n_steps):
         window = slice_horizon(world, k, horizon)
-        cf = characteristic_function(storage, world, window, rho)
-        for mask in cf:
-            members = coalition_members(mask)
-            if len(members) > 1:
-                priced = cf.pricing(mask)
-                assert_same_pricing(priced, pooled_value(members, storage, world, window, rho))
-                assert_same_pricing(coalition_value(members, storage, world, window, rho),
-                                    priced)
-        # and every first-step cost, the members alone too
-        assert_same_first_steps(cf, window, rho)
+        _assert_rows_are_the_loop(characteristic_function(storage, world, window, rho),
+                                  storage, world, window, rho)
+
+
+@_settings(40)
+@given(seed=seeds, n_nodes=st.integers(2, 7), n_steps=st.integers(1, 3),
+       horizon=st.integers(1, 6), rho=rhos, data=st.data())
+def test_batch_over_the_blocks_of_a_partition_is_the_loop(seed, n_nodes, n_steps, horizon,
+                                                          rho, data):
+    # a retained partition of several blocks is priced by one batch per
+    # step; each block's rows are those of the loop, as if priced alone
+    world = _tied_world(data, seed, n_nodes, n_steps)
+    labels = data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=n_nodes,
+                                max_size=n_nodes))
+    partition = Partition.from_blocks(
+        [[i for i in range(n_nodes) if labels[i] == label] for label in set(labels)])
+    fill = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_nodes, max_size=n_nodes))
+    storage = np.array(fill) * world.storage_capacities
+    for k in range(n_steps):
+        window = slice_horizon(world, k, horizon)
+        table = _price_subsets(partition.blocks, storage, world, window, rho)
+        assert len(table) == sum(2 ** len(block) - 1 for block in partition.blocks)
+        _assert_rows_are_the_loop(table, storage, world, window, rho)
+
+
+def test_rows_of_eight_or_more_members_are_the_loop():
+    # a block of nine at horizon 5: numpy sums eight or more terms pairwise,
+    # so rows of eight or more members sum in another order than fewer
+    world = generate_synthetic_scenario(5, n_nodes=9, n_steps=2)
+    storage = 0.4 * world.storage_capacities
+    window = slice_horizon(world, 1, 5)
+    table = _price_subsets([tuple(range(9))], storage, world, window, 5e-3)
+    assert len(table) == 511
+    _assert_rows_are_the_loop(table, storage, world, window, 5e-3)
 
 
 def _one_member_programs(world, config):

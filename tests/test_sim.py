@@ -142,6 +142,27 @@ def test_level_outside_capacity_is_refused_in_a_block():
             sim.step(state, scenario, config, prev)
 
 
+def test_errors_keep_block_order_in_a_retained_partition():
+    # blocks (0, 1) and (2, 3), retained; node 3 sells above node 2's buy
+    # price, so the pair (2, 3) fails.  A level outside capacity in the first
+    # block is refused before the second block's pair, and with levels in
+    # range the pair is named
+    nodes = [make_node(i, [1.0, 1.0], [0.0, 0.0], [0.10, 0.10], [0.05, 0.05], cap=2.0)
+             for i in range(3)]
+    nodes.append(make_node(3, [1.0, 1.0], [0.0, 0.0], [0.12, 0.12], [0.11, 0.11], cap=2.0))
+    scenario = make_scenario(nodes)
+    config = SimConfig(horizon=2, reform_period=2)
+    prev = Partition.from_blocks([(0, 1), (2, 3)])
+    for agent in (0, 1):
+        storage = np.full(4, 1.0)
+        storage[agent] = 2.5
+        with pytest.raises(ValueError, match=rf"^node {agent}: storage_init .* outside \[0, "):
+            sim.step(SystemState(step=1, storage=storage), scenario, config, prev)
+    with pytest.raises(DispatchError,
+                       match=r"^step 1, coalition \(2, 3\): dispatch unbounded"):
+        sim.step(SystemState(step=1, storage=np.full(4, 1.0)), scenario, config, prev)
+
+
 def test_self_sufficient_agents_stay_single_with_zero_charges():
     nodes = [make_node(i, [1.5] * 4, [1.5] * 4, [0.1] * 4, [0.05] * 4, cap=0.0)
              for i in range(3)]
