@@ -12,8 +12,8 @@ from .dispatch import (CoalitionValueBreakdown, DispatchSolution, build_coalitio
                        solve_individual_dispatch)
 from .errors import (CoopGridError, DispatchError, LpValidationError,
                      MissingCoalitionError, ScenarioError)
-from .formation import (Partition, StructureValue, enumerate_partitions,
-                        form_partition, optimal_structure, structure_value)
+from .formation import (Partition, StructureValue, form_partition, optimal_structure,
+                        structure_value)
 from .game import (CharacteristicFunction, PayoffMap, characteristic_function,
                    coalition_mask, coalition_members, equivalent_price, payoff_map,
                    shapley_value)
@@ -38,7 +38,7 @@ __all__ = [
     "StructureValue", "SystemState",
     "build_coalition_lp", "build_individual_lp", "characteristic_function",
     "coalition_mask", "coalition_members", "coalition_value",
-    "enumerate_partitions", "equivalent_price", "evaluate_loss_cost",
+    "equivalent_price", "evaluate_loss_cost",
     "form_partition", "generate_synthetic_scenario", "load_scenario",
     "make_program", "mean_pairwise_distance", "optimal_structure", "payoff_map",
     "reference_scenario", "run", "serialize_scenario", "settle_step",

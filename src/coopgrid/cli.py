@@ -16,7 +16,7 @@ import numpy as np
 from .dispatch import coalition_value
 from .errors import CoopGridError, ScenarioError
 from .formation import optimal_structure
-from .game import MAX_SWEEP_AGENTS, shapley_value
+from .game import MAX_SWEEP_AGENTS, characteristic_function, shapley_value
 from .lp import LpStatus, solve_lp
 from .oracles import (best_partition_by_enumeration, brute_force_lp,
                       lexicographic_pooled_levels, permutation_shapley,
@@ -120,7 +120,19 @@ def _oracle_check() -> int:
     print("oracle-check: structure search matches independent enumeration on 20 games")
 
     ref = reference_scenario()
-    window = slice_horizon(ref, 0, SimConfig().horizon)
+    config = SimConfig()
+    window = slice_horizon(ref, 0, config.horizon)
+    game = characteristic_function(ref.storage_init, ref, window, config.loss_weight).values
+    best = optimal_structure(game)
+    blocks, value = best_partition_by_enumeration(game, ref.n_nodes)
+    tol = 1e-12 * max(1.0, abs(value))
+    if best.partition.blocks != blocks or not abs(best.value - value) <= tol:
+        print(f"oracle-check FAIL: structure of reference step 0 {best.partition.blocks} "
+              f"at {best.value} vs {blocks} at {value}")
+        return EXIT_RUNTIME
+    print(f"oracle-check: structure search matches independent enumeration on the "
+          f"{ref.n_nodes}-agent game of reference step 0")
+
     members = tuple(range(ref.n_nodes))
     plan = coalition_value(members, ref.storage_init, ref, window, 0.0)[1]
     want = plan.market_cost

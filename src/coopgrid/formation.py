@@ -1,4 +1,4 @@
-"""Partition formation and exhaustive coalition-structure search.
+"""Partition formation and exact coalition-structure search.
 
 ``form_partition`` turns a payoff map into a partition of the agents by a
 greedy top-coalition procedure: at each round, among the agents not yet
@@ -7,16 +7,13 @@ to going alone are considered, and the one with the greatest aggregate
 improvement is locked in.  Ties go to smaller coalitions, then to the
 lexicographically smallest member tuple, so the outcome is deterministic.
 
-``enumerate_partitions`` streams every set partition via restricted
-growth strings; ``optimal_structure`` scans them all for the cheapest
-structure, which serves as the benchmark the greedy rule is compared
-against.
+``optimal_structure`` finds the cheapest structure by dynamic programming
+over subsets, the benchmark the greedy rule is compared against.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .game import PayoffMap, _cost, coalition_mask, coalition_members
+from .game import MAX_SWEEP_AGENTS, PayoffMap, _cost, coalition_mask, coalition_members
 
 
 @dataclass(frozen=True)
@@ -95,33 +92,6 @@ def form_partition(pm: PayoffMap) -> Partition:
     return Partition.from_blocks(blocks)
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Every set partition of 0..n-1 exactly once, in lexicographic order of
-    the restricted growth strings that encode them."""
-    if n < 1:
-        raise ValueError("need at least one agent")
-    labels = [0] * n
-
-    def emit() -> Partition:
-        blocks: list[list[int]] = []
-        for i, lab in enumerate(labels):
-            if lab == len(blocks):
-                blocks.append([i])
-            else:
-                blocks[lab].append(i)
-        return Partition(blocks=tuple(tuple(b) for b in blocks))
-
-    def rec(i: int, max_label: int) -> Iterator[Partition]:
-        if i == n:
-            yield emit()
-            return
-        for lab in range(max_label + 2):
-            labels[i] = lab
-            yield from rec(i + 1, max(max_label, lab))
-
-    yield from rec(1, 0)
-
-
 def structure_value(partition: Partition, values) -> StructureValue:
     """Aggregate cost of a partition: the sum of its block values in the
     mask -> cost mapping ``values``."""
@@ -132,15 +102,36 @@ def structure_value(partition: Partition, values) -> StructureValue:
 
 
 def optimal_structure(values) -> StructureValue:
-    """Exhaustive minimum-cost coalition structure of a mask -> cost mapping
-    over agents 0..n-1, n read off its largest mask (first enumerated wins
-    ties)."""
+    """Minimum-cost coalition structure of a mask -> cost mapping over
+    agents 0..n-1, n read off its largest mask.
+
+    For every mask M in increasing order, best(M) is the least of
+    v(B) + best(M - B) over the blocks B within M that hold M's lowest
+    agent, O(3^n) in all; on a tie the smallest B in mask order wins.  The
+    value returned is the chosen partition's :func:`structure_value`, summed
+    in block order like any other partition's, so a greedy partition that is
+    optimal is exactly as costly.
+    """
     n = max(values).bit_length()
-    if n > 10:
-        raise ValueError("exhaustive structure search capped at 10 agents")
-    best = None
-    for partition in enumerate_partitions(n):
-        candidate = structure_value(partition, values)
-        if best is None or candidate.value < best.value:
-            best = candidate
-    return best
+    if n > MAX_SWEEP_AGENTS:
+        raise ValueError(f"structure search not supported for {n} agents")
+    cost = [0.0] + [_cost(values, mask) for mask in range(1, 1 << n)]
+    best = [0.0] * (1 << n)
+    chosen = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        block, least = low, cost[low] + best[rest]
+        sub = 0
+        while sub != rest:
+            sub = (sub - rest) & rest  # the submasks of rest, in increasing order
+            total = cost[low | sub] + best[rest ^ sub]
+            if total < least:
+                block, least = low | sub, total
+        best[mask], chosen[mask] = least, block
+    blocks = []
+    mask = (1 << n) - 1
+    while mask:
+        blocks.append(coalition_members(chosen[mask]))
+        mask ^= chosen[mask]
+    return structure_value(Partition.from_blocks(blocks), values)

@@ -4,7 +4,7 @@ The brute-force oracles share no code with the implementations they
 audit: the LP oracle enumerates candidate vertices directly, the Shapley
 oracle averages marginal contributions over every join order, and the
 structure oracle enumerates partitions by recursive insertion rather than
-growth strings.  They only scale to toy sizes, which is the point.
+recursing over subsets.  They only scale to toy sizes, which is the point.
 
 The pooled-program oracle shares the LP solver but not the formulation:
 it prices a coalition's grid money on one pooled node instead of the

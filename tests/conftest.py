@@ -1,6 +1,6 @@
 import pytest
 
-from coopgrid import lp
+from coopgrid import dispatch, lp
 from coopgrid.scenario import reference_scenario
 
 
@@ -10,10 +10,14 @@ def ref_scenario():
 
 
 @pytest.fixture(autouse=True)
-def empty_memo():
-    """Every test starts from an empty pivot memo: ``lp._MEMO`` is module
-    state, and a test must not depend on the paths earlier tests left."""
+def empty_module_state():
+    """Every test starts from an empty pivot memo and empty ``dispatch``
+    caches: both are module state, and a test must not depend on the paths
+    or entries earlier tests left."""
     lp._MEMO.clear()
+    for cache in (dispatch._mean_distance, dispatch._subset_distances, dispatch._bounds,
+                  dispatch._equality_matrix, dispatch._no_market):
+        cache.cache_clear()
 
 
 @pytest.fixture

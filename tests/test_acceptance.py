@@ -19,12 +19,13 @@ from pooled_loop_reference import assert_same_pricing, pooled_value
 
 from coopgrid.dispatch import (coalition_value, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
-from coopgrid.formation import enumerate_partitions, optimal_structure, structure_value
+from coopgrid.formation import optimal_structure
 from coopgrid.game import characteristic_function, coalition_members, shapley_value
 from coopgrid.lp import LpStatus, solve_lp
-from coopgrid.oracles import (best_partition_by_enumeration, brute_force_lp,
-                              lexicographic_pooled_levels, permutation_shapley,
-                              pooled_market_cost, random_box_lp, random_cost_game)
+from coopgrid.oracles import (_partitions_by_insertion, best_partition_by_enumeration,
+                              brute_force_lp, lexicographic_pooled_levels,
+                              permutation_shapley, pooled_market_cost, random_box_lp,
+                              random_cost_game)
 from coopgrid.report import summarize_prices, trace_label
 from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
 from coopgrid.sim import SimConfig, SimMode, run
@@ -198,19 +199,17 @@ def test_c06_structure_search_benchmark(coalition_traces):
         assert got.value == pytest.approx(value, abs=1e-12)
 
     trace = coalition_traces[1e-4]
+    # the oracle walks every partition of the reference day's agents
+    assert sum(1 for _ in _partitions_by_insertion(list(range(trace.n_agents)))) == 4140
     gaps = []
     for res in trace.steps:
         values = res.coalition_values
-        best = None
-        count = 0
-        for partition in enumerate_partitions(trace.n_agents):
-            candidate = structure_value(partition, values).value
-            count += 1
-            if best is None or candidate < best:
-                best = candidate
-        assert count == 4140
+        best = optimal_structure(values)
+        blocks, value = best_partition_by_enumeration(values, trace.n_agents)
+        assert best.partition.blocks == blocks
+        assert best.value == pytest.approx(value, rel=1e-12, abs=1e-12)
         formed = sum(values[sum(1 << a for a in b)] for b in res.partition.blocks)
-        gap = formed - best
+        gap = formed - best.value
         assert gap >= -1e-9
         gaps.append(gap)
     _report("criterion 6 (structure search benchmark)",

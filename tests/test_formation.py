@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from coopgrid.errors import MissingCoalitionError
-from coopgrid.formation import (Partition, enumerate_partitions, form_partition,
-                                optimal_structure, structure_value)
-from coopgrid.game import coalition_members, payoff_map
-from coopgrid.oracles import best_partition_by_enumeration, random_cost_game
+from coopgrid.formation import Partition, form_partition, optimal_structure, structure_value
+from coopgrid.game import MAX_SWEEP_AGENTS, coalition_mask, coalition_members, payoff_map
+from coopgrid.oracles import (_partitions_by_insertion, best_partition_by_enumeration,
+                              random_cost_game)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -56,12 +56,13 @@ def test_formed_partitions_are_individually_rational():
 
 def test_enumerate_partition_counts():
     for n, bell in BELL.items():
-        assert sum(1 for _ in enumerate_partitions(n)) == bell
+        assert sum(1 for _ in _partitions_by_insertion(list(range(n)))) == bell
 
 
 def test_enumerate_partitions_unique_and_valid():
     seen = set()
-    for p in enumerate_partitions(4):
+    for part in _partitions_by_insertion(list(range(4))):
+        p = Partition.from_blocks(part)
         assert p.covers(4)
         assert p.blocks not in seen
         seen.add(p.blocks)
@@ -95,13 +96,65 @@ def test_optimal_structure_extremes():
 
 def test_optimal_structure_matches_independent_enumeration():
     rng = np.random.default_rng(16)
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        values = random_cost_game(rng, n)
-        got = optimal_structure(values)
-        blocks, value = best_partition_by_enumeration(values, n)
-        assert got.partition.blocks == blocks
-        assert got.value == pytest.approx(value, abs=1e-12)
+    for n in range(2, 9):
+        for _ in range(4):
+            values = random_cost_game(rng, n)
+            got = optimal_structure(values)
+            blocks, value = best_partition_by_enumeration(values, n)
+            assert got.partition.blocks == blocks
+            assert got.value == pytest.approx(value, abs=1e-12)
+
+
+def test_optimal_structure_on_tied_integer_costs():
+    rng = np.random.default_rng(19)
+    n = 6
+    # few distinct integer costs, so many structures share the least one
+    values = {mask: float(rng.integers(-2, 3)) for mask in range(1, 1 << n)}
+    got = optimal_structure(values)
+    ties = [part for part in _partitions_by_insertion(list(range(n)))
+            if sum(values[coalition_mask(b)] for b in part) == got.value]
+    assert len(ties) > 1
+    assert got.value == best_partition_by_enumeration(values, n)[1]
+    assert got.value == structure_value(got.partition, values).value
+    assert optimal_structure(values).partition == got.partition
+    # all structures tie at zero: the smallest block in mask order, {0}, wins
+    # at every mask, so the search returns the singletons
+    zeros = dict.fromkeys(range(1, 1 << n), 0.0)
+    assert optimal_structure(zeros).partition.blocks == tuple((i,) for i in range(n))
+
+
+def test_optimal_structure_names_a_missing_coalition():
+    values = random_cost_game(np.random.default_rng(20), 3)
+    del values[0b101]
+    with pytest.raises(MissingCoalitionError, match=r"\(0, 2\)"):
+        optimal_structure(values)
+
+
+def test_optimal_structure_refuses_more_agents_than_a_sweep_before_any_lookup():
+    class Unread(dict):
+        def __getitem__(self, mask):
+            raise AssertionError(f"looked up {mask}")
+
+    with pytest.raises(ValueError, match="not supported"):
+        optimal_structure(Unread({1 << MAX_SWEEP_AGENTS: 0.0}))
+
+
+def test_optimal_structure_of_twelve_agents_is_a_cover_at_its_own_value():
+    values = random_cost_game(np.random.default_rng(21), 12)
+    got = optimal_structure(values)
+    assert got.partition.covers(12)
+    assert got.value == structure_value(got.partition, values).value
+
+
+def test_optimal_structure_value_is_summed_left_to_right():
+    # the singletons are cheapest; their sum in block order, 0.1 + 0.2 + 0.3,
+    # is one ulp above the 0.6 the recursion adds up from the last block
+    values = {0b001: 0.1, 0b010: 0.2, 0b100: 0.3}
+    values.update({mask: 1.0 for mask in (0b011, 0b101, 0b110, 0b111)})
+    got = optimal_structure(values)
+    assert got.partition.blocks == ((0,), (1,), (2,))
+    assert got.value == 0.1 + 0.2 + 0.3
+    assert got.value != 0.1 + (0.2 + 0.3)
 
 
 def test_aggregate_never_worse_than_defection():

@@ -278,6 +278,7 @@ def test_cli_oracle_check(capsys):
     out = capsys.readouterr().out
     assert "lp solver matches" in out
     assert "shapley" in out
+    assert "structure search matches independent enumeration on the 8-agent game" in out
 
 
 def _nan_objective(problem):
