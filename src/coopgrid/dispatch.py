@@ -21,6 +21,15 @@ by doubling over its members, and both passes and the split run once over
 the rows of all blocks.  It hands v(S) and first-step costs over as
 arrays (:class:`PooledRows`) and makes a subset's ``(breakdown, plan)``
 only on demand; ``coalition_value`` runs it on the whole coalition only.
+What depends only on the blocks is made once per blocks, not per step
+(``_layout``): which subsets are rows, with their masks and member counts,
+and the split's (row, member) pairs and per-count groups.  A run prices
+the same blocks at step after step (the reference day's one block of
+eight at all 17 steps), so a call is left with the step's arithmetic.
+The subsets left out because their tariffs cross are part of the key, so
+a world that fails validation takes the same path.  The cache is bounded
+at 128 layouts; a layout of blocks B holds O(sum |B| 2^|B|) integers,
+about 60 kB for one block of eight.
 
 A run solves thousands of small one-member programs, and the equality
 matrix of a program depends only on the member count and the horizon.
@@ -261,7 +270,8 @@ class PooledRows:
     r(S), the first-step cost that settlement splits (grid money at step 0
     plus ``rho * r(S) * sum_i cb[i,0]^2``), the member count and its first
     (row, member) pair in ``plans``.  ``crossed`` lists the masks left out,
-    whose tariffs cross.  Plans are views of ``plans``, to be read only."""
+    whose tariffs cross.  Plans are views of ``plans``, and ``count`` and
+    ``first`` are the cached layout's arrays: all are to be read only."""
 
     index: dict[int, int]
     market: np.ndarray
@@ -351,6 +361,75 @@ def _least_cost_paths(need, capacity, level, best) -> tuple[np.ndarray, ...]:
     return path, bought, sold
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """What a pooled batch takes from its blocks' structure alone, made once
+    per key by :func:`_layout`; its arrays are read-only.  The rows are the
+    subsets priced, blocks in order and masks increasing within a block;
+    the (row, member) pairs are ordered by member count, then row, then
+    member, so the rows of k members are one contiguous (rows, k) run."""
+
+    masks: tuple[int, ...]  # each row's coalition mask
+    index: dict[int, int]   # mask -> row; PooledRows gets a copy
+    take: np.ndarray        # each row's slot among the stacked tables of every subset
+    count: np.ndarray       # members per row
+    first: np.ndarray       # each row's first pair
+    row: np.ndarray         # per pair: its row
+    member: np.ndarray      # per pair: the member's slot among the blocks' agents
+    rank: np.ndarray        # per pair, a column: the member's slot among its row's
+    widest: int             # the largest member count
+    # per member count k that has rows: k, how many rows, which, and their pairs
+    groups: tuple[tuple[int, int, np.ndarray, slice], ...]
+
+
+@functools.lru_cache(maxsize=128)  # a layout of blocks B holds O(sum |B| 2^|B|) integers
+def _layout(blocks: tuple[tuple[int, ...], ...], whole: bool,
+            crossed: tuple[int, ...]) -> _Layout:
+    """The rows and (row, member) pairs of a pooled batch over ``blocks``
+    (sorted, disjoint, of two or more members): every subset of two or
+    more members of each block, or with ``whole`` the one block's whole
+    coalition, less the masks in ``crossed``, which the batch leaves out.
+    A run prices the same blocks at step after step, so this is built once
+    per blocks and subsets left out, not per step."""
+    masks, take, local_rows, offsets, left_out = [], [], [], [], set(crossed)
+    start = offset = 0  # the block's first stacked table row and first agent slot
+    for block in blocks:
+        local = [0]  # row r's mask, bit j of r for the block's j-th member
+        for agent in block:
+            local += [mask | 1 << agent for mask in local]
+        size = len(local)
+        rows = [size - 1] if whole else [r for r in range(size) if r.bit_count() > 1]
+        rows = [r for r in rows if local[r] not in left_out]
+        masks += [local[r] for r in rows]
+        take += [start + r for r in rows]
+        local_rows += rows
+        offsets += [offset] * len(rows)
+        start, offset = start + size, offset + len(block)
+    m = len(masks)
+    rows, offsets = np.array(local_rows, dtype=int), np.array(offsets, dtype=int)
+    count = np.array([r.bit_count() for r in local_rows], dtype=int)
+    widest = int(count.max(initial=0))
+    counts = np.arange(widest + 1)[:, None] == count
+    order = np.nonzero(counts)[1]
+    first = np.empty(m, dtype=int)
+    first[order] = np.cumsum(count[order]) - count[order]
+    row, slot = np.nonzero((rows[order, None] >> np.arange(widest)) & 1)
+    row = order[row]
+    member = offsets[row] + slot
+    rank = (np.arange(len(row)) - first[row])[:, None]
+    take = np.array(take, dtype=int)
+    for a in (take, count, first, row, member, rank, order):
+        a.flags.writeable = False
+    groups, lo, at = [], 0, 0
+    for k, g in enumerate(counts.sum(axis=1).tolist()):
+        if g:
+            groups.append((k, g, order[lo:lo + g], slice(at, at + k * g)))
+            lo, at = lo + g, at + k * g
+    return _Layout(masks=tuple(masks), index=dict(zip(masks, range(m))), take=take,
+                   count=count, first=first, row=row, member=member, rank=rank,
+                   widest=widest, groups=tuple(groups))
+
+
 def _pooled_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonSlice,
                     loss_weight: float, whole: bool = False) -> PooledRows:
     """Price every subset of two or more members of each of ``blocks``
@@ -369,9 +448,12 @@ def _pooled_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonS
     level are the same additions, in member order, as a per-coalition loop
     makes, and the lowest buy and highest sell price keep their lowest-id
     holder.  The rows are stacked block after block; the passes and the
-    split work row by row, so stacking changes no bit of a row.
+    split work row by row, so stacking changes no bit of a row.  Which rows
+    are priced and how the split pairs them with members come from the
+    blocks' cached :func:`_layout`.
     """
-    blocks = [tuple(block) for block in blocks if len(block) > 1]
+    # Python ints, as the blocks key the layout cache and make its masks
+    blocks = tuple(tuple(int(i) for i in block) for block in blocks if len(block) > 1)
     ids = [i for block in blocks for i in block]
     hs = slice_.select(ids)
     net = hs.demand - hs.generation
@@ -379,53 +461,43 @@ def _pooled_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonS
     caps = np.array([scenario.nodes[i].storage_capacity for i in ids], dtype=float)
     h = hs.horizon
 
-    # subset tables, doubled over each block's members in increasing id:
-    # per row the summed need, capacity, level and member count, and p_t
-    # and -q_t, each with its holder's slot among the row's members
+    # every subset's tables, doubled over each block's members in
+    # increasing id and stacked block after block: per row the summed
+    # need, capacity, level and member count, and p_t and -q_t, each with
+    # its holder's slot among the row's members
     own = np.column_stack([net, caps, s0, np.ones(len(ids))])
     prices = np.concatenate([hs.buy_price, -hs.sell_price], axis=1)
-    tables, masks, left_out, offset = [], [], [], 0
+    size = sum(1 << len(block) for block in blocks)
+    sums = np.zeros((size, h + 3))
+    best = np.full((size, 2 * h), np.inf)
+    holder = np.zeros((size, 2 * h))
+    distance, start, at = [], 0, 0
     for block in blocks:
-        size = 1 << len(block)
-        sums = np.zeros((size, h + 3))
-        best = np.full((size, 2 * h), np.inf)
-        holder = np.zeros((size, 2 * h))
-        local = [0]
-        for j, agent in enumerate(block):
-            base, top, at = slice(0, 1 << j), slice(1 << j, 2 << j), offset + j
+        for j in range(len(block)):
+            base, top = slice(start, start + (1 << j)), slice(start + (1 << j), start + (2 << j))
             sums[top] = sums[base] + own[at]
             better = prices[at] < best[base]
             best[top] = np.where(better, prices[at], best[base])
             holder[top] = np.where(better, sums[base, h + 2, None], holder[base])
-            local += [mask | 1 << agent for mask in local]
-        rows = np.array([size - 1]) if whole else np.flatnonzero(sums[:, h + 2] >= 2)
-        crossed = (-best[rows, h:] >= best[rows, :h]).any(axis=1)
-        left_out += [local[r] for r in rows[crossed].tolist()]
-        rows = rows[~crossed]
-        masks += [local[r] for r in rows.tolist()]
+            at += 1
         positions = tuple(tuple(scenario.nodes[i].position) for i in block)
-        distance = (np.full(len(rows), _mean_distance(positions)) if whole
-                    else _subset_distances(positions)[rows])
-        tables.append((sums[rows], best[rows], holder[rows], distance, rows,
-                       np.full(len(rows), offset)))
-        offset += len(block)
-    sums, best, holder, distance, rows, offsets = map(np.concatenate, zip(*tables))
-    del tables  # the per-block copies, before the passes allocate
-    capacity, count, m = sums[:, h], sums[:, h + 2].astype(int), len(masks)
+        distance.append(np.full(1 << len(block), _mean_distance(positions)) if whole
+                        else _subset_distances(positions))
+        start += 1 << len(block)
+    distance = np.concatenate(distance)
+    layout = _layout(blocks, whole, ())  # no subset left out yet
+    candidates = best[layout.take]
+    crossed = (-candidates[:, h:] >= candidates[:, :h]).any(axis=1)
+    left_out = [layout.masks[r] for r in np.flatnonzero(crossed).tolist()]
+    if left_out:
+        layout = _layout(blocks, whole, tuple(left_out))
+    take = layout.take
+    sums, best, holder, distance = sums[take], best[take], holder[take], distance[take]
+    capacity, m = sums[:, h], len(take)
     path, bought, sold = _least_cost_paths(sums[:, :h], capacity, sums[:, h + 1], best)
 
-    # split, on one (row, member) pair per member of each row, ordered by
-    # member count, then row, then member: the rows of k members are one
-    # contiguous (rows, k, h) run of pairs
-    widest = int(count.max(initial=0))
-    counts = np.arange(widest + 1)[:, None] == count
-    order = np.nonzero(counts)[1]
-    first = np.empty(m, dtype=int)
-    first[order] = np.cumsum(count[order]) - count[order]
-    row, slot = np.nonzero((rows[order, None] >> np.arange(widest)) & 1)
-    row = order[row]
-    member = offsets[row] + slot
-    rank = (np.arange(len(row)) - first[row])[:, None]  # the member's slot among the row's
+    # split, on the layout's (row, member) pairs
+    row, member, rank = layout.row, layout.member, layout.rank
     pool = capacity[row]  # a pool of no capacity has levels 0 throughout
     share = np.divide(caps[member], pool, out=np.zeros(len(row)), where=pool != 0.0)
     levels = share[:, None] * path[row]
@@ -441,25 +513,21 @@ def _pooled_subsets(blocks, storage_levels, scenario: Scenario, slice_: HorizonS
     # each row's sums run over its contiguous (member, step) cells, and its
     # first-step coalition purchases over its k members, per member count
     market, squares, bought_now = np.empty(m), np.empty(m), np.empty(m)
-    lo = at = 0
-    for k, g in enumerate(counts.sum(axis=1).tolist()):
-        if g:
-            group, pairs = order[lo:lo + g], slice(at, at + k * g)
-            market[group] = money[pairs].reshape(g, -1).sum(axis=1)
-            squares[group] = squared[pairs].reshape(g, -1).sum(axis=1)
-            bought_now[group] = squared_now[pairs].reshape(g, k).sum(axis=1)
-            lo, at = lo + g, at + k * g
+    for k, g, group, pairs in layout.groups:
+        market[group] = money[pairs].reshape(g, -1).sum(axis=1)
+        squares[group] = squared[pairs].reshape(g, -1).sum(axis=1)
+        bought_now[group] = squared_now[pairs].reshape(g, k).sum(axis=1)
     # the first-step grid money member by member from 0.0, in member order,
     # as a per-coalition loop adds them; +0.0 pads a row past its members
-    table = np.zeros((widest, m))
+    table = np.zeros((layout.widest, m))
     table[rank[:, 0], row] = money[:, 0]
     first_step = sum(table, np.zeros(m))
     if loss_weight:
         first_step += loss_weight * distance * bought_now
     loss = loss_weight * distance * squares
-    return PooledRows(index=dict(zip(masks, range(m))), market=market, loss=loss,
+    return PooledRows(index=dict(layout.index), market=market, loss=loss,
                       total=market + loss, distance=distance, first_step=first_step,
-                      count=count, first=first,
+                      count=layout.count, first=layout.first,
                       plans=(delta, levels, grid_buy, grid_sell, coal_buy, coal_sell),
                       crossed=left_out)
 

@@ -24,9 +24,17 @@ its largest mask.
 Every Shapley share is a difference of Hart–Mas-Colell potentials
 (Econometrica 57(3), 1989): P(0) = 0, P(S) = (v(S) + sum over i in S of
 P(S - i)) / |S|, and agent i's share in S is P(S) - P(S - i).  A
-:class:`PayoffMap` is that potential table.
+:class:`PayoffMap` is that potential table.  The potentials read a
+:class:`CharacteristicFunction` through its plain dict, not a method call
+per coalition.
+
+``coalition_members`` is cached per mask, bounded at 4,096 masks (every
+mask of 12 agents): formation scans the submasks of the agents left at
+every round of every step, and pricing and settlement name the same
+blocks' members step after step.  Larger games still work, recomputing.
 """
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 import numpy as np
@@ -50,8 +58,10 @@ def coalition_mask(members) -> int:
     return mask
 
 
+@functools.lru_cache(maxsize=1 << 12)  # every mask of 12 agents
 def coalition_members(mask: int) -> tuple[int, ...]:
-    """Sorted agent ids present in a mask."""
+    """Sorted agent ids present in a mask, made once per mask: formation
+    and pricing ask for the same masks at every step."""
     out = []
     while mask:
         low = mask & -mask  # the lowest set bit
@@ -169,18 +179,24 @@ def _cost(values, mask: int) -> float:
 
 def _potentials(values, full: int) -> dict[int, float]:
     """Potential P(S) of every submask S of ``full``, filled in increasing
-    order so that each P(S - i) is in place before P(S) needs it."""
+    order so that each P(S - i) is in place before P(S) needs it.  A
+    :class:`CharacteristicFunction` is read through its plain dict."""
+    if isinstance(values, CharacteristicFunction):
+        values = values.values
     pot = {0: 0.0}
     sub = 0
     while sub != full:
         sub = (sub - full) & full  # next submask of full, in increasing order
-        total = _cost(values, sub)
+        try:
+            total = values[sub]
+        except KeyError:
+            total = _cost(values, sub)  # raises MissingCoalitionError
         rest = sub
         while rest:
             bit = rest & -rest
             total += pot[sub ^ bit]
             rest ^= bit
-        pot[sub] = total / bin(sub).count("1")
+        pot[sub] = total / sub.bit_count()
     return pot
 
 

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from coopgrid import dispatch, lp
+from coopgrid import lp
 from coopgrid.scenario import reference_scenario
 
 
@@ -11,13 +13,16 @@ def ref_scenario():
 
 @pytest.fixture(autouse=True)
 def empty_module_state():
-    """Every test starts from an empty pivot memo and empty ``dispatch``
-    caches: both are module state, and a test must not depend on the paths
-    or entries earlier tests left."""
+    """Every test starts from an empty pivot memo and with every
+    ``functools`` cache of every ``coopgrid`` module empty, each found by
+    its ``cache_clear``: both are module state, and a test must not depend
+    on the paths or entries earlier tests left."""
     lp._MEMO.clear()
-    for cache in (dispatch._mean_distance, dispatch._subset_distances, dispatch._bounds,
-                  dispatch._equality_matrix, dispatch._no_market):
-        cache.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coopgrid":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture

@@ -416,3 +416,56 @@ def test_reference_run_lp_counts(coalition_traces):
     assert (programs, phase1, phase2) == (136, 1634, 673)
     _report("reference-run LP counts",
             f"{programs} programs, {phase1} phase-1 and {phase2} phase-2 pivots")
+
+
+def _largest_sub_coalition_excess(res, block):
+    """The largest excess, over the nonempty proper sub-coalitions T of a
+    formed block, of T's summed Shapley shares in the block over v(T),
+    with that T; read off the step's priced values and potentials."""
+    pot, values = res.payoffs.potentials, res.coalition_values
+    full = sum(1 << a for a in block)
+    worst, sub = None, 0
+    while True:
+        sub = (sub - full) & full
+        if sub == full:
+            return worst
+        shares = 0.0
+        for agent in coalition_members(sub):
+            shares += pot[full] - pot[full ^ 1 << agent]
+        if worst is None or shares - values[sub] > worst[0]:
+            worst = (shares - values[sub], coalition_members(sub))
+
+
+def test_group_rationality_figures_of_model_section_4(coalition_traces):
+    # MODEL.md section 4: formation checks individual rationality only, so
+    # a formed block's split can give some sub-coalition more than its own
+    # cost.  Every excess found is above 1.9e-5 and every other at most
+    # -6.9e-7, so the counts do not hang on rounding
+    found = {}
+    for rho in (1e-5, 5e-3):
+        blocks, outside = 0, []
+        for res in coalition_traces[rho].steps:
+            for block in res.partition.blocks:
+                if len(block) > 1:
+                    blocks += 1
+                    excess, sub = _largest_sub_coalition_excess(res, block)
+                    if excess > 0.0:
+                        value = res.coalition_values[sum(1 << a for a in block)]
+                        outside.append((excess, res.step, sub, excess / abs(value)))
+        found[rho] = blocks, outside
+    blocks, outside = found[1e-5]
+    # the grand coalition at every step; 15 of 17 outside its core
+    assert blocks == 17 and len(outside) == 15
+    excess, step, sub, share = max(outside)
+    assert (step, sub) == (14, (1, 2, 4, 5, 6, 7))
+    assert excess == pytest.approx(0.0149, abs=5e-5)
+    assert share == pytest.approx(0.0039, abs=5e-5)
+    blocks, outside = found[5e-3]
+    assert blocks == 27 and len(outside) == 5
+    worst, step, sub, share = max(outside)
+    assert (step, sub) == (8, (0, 2, 4))
+    assert worst == pytest.approx(0.0035, abs=5e-5)
+    assert share == pytest.approx(0.0097, abs=5e-5)
+    _report("group rationality (MODEL.md section 4)",
+            f"rho=1e-5: 15 of 17 blocks with a sub-coalition paid above its cost, "
+            f"worst {excess:.4f}; rho=5e-3: 5 of 27 blocks")

@@ -6,7 +6,7 @@ import pytest
 from helpers import (assert_same_solution, make_node, make_scenario, solve_cold,
                      surplus_deficit_pair)
 
-from coopgrid import dispatch, lp
+from coopgrid import dispatch, lp, sim
 from coopgrid.dispatch import (build_coalition_lp, build_individual_lp, coalition_value,
                                evaluate_loss_cost, mean_pairwise_distance,
                                solve_coalition_dispatch, solve_individual_dispatch)
@@ -14,6 +14,7 @@ from coopgrid.errors import DispatchError
 from coopgrid.game import coalition_members
 from coopgrid.lp import solve_lp
 from coopgrid.scenario import generate_synthetic_scenario, slice_horizon
+from coopgrid.sim import SimConfig, SystemState
 
 RHO_SET = (0.0, 1e-5, 1e-4, 5e-4, 5e-3)
 FLOW_FIELDS = ("storage_delta", "storage_level", "grid_buy", "grid_sell",
@@ -254,6 +255,57 @@ def test_unbounded_names_crossed_tariffs_between_nodes():
     with pytest.raises(DispatchError,
                        match=r"node 1 sell_price.* node 0 buy_price.* horizon step 1"):
         coalition_value((0, 1), np.zeros(2), sc, slice_horizon(sc, 0, 2), 1e-5)
+
+
+def _assert_same_rows(a, b):
+    """Byte-equal batches: every array's dtype, shape and bytes, the index
+    in its order and the masks left out."""
+    assert list(a.index.items()) == list(b.index.items())
+    assert a.crossed == b.crossed
+    for x, y in zip((a.market, a.loss, a.total, a.distance, a.first_step, a.count, a.first,
+                     *a.plans),
+                    (b.market, b.loss, b.total, b.distance, b.first_step, b.count, b.first,
+                     *b.plans), strict=True):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def test_cached_layout_gives_the_rows_of_an_empty_cache(ref_scenario):
+    # the reference step-0 sweep; a retained partition of several blocks; a
+    # pair whose tariffs cross (node 1 sells at 0.09, above node 0's buy
+    # price 0.08) beside the same pair with node 1 selling at 0.05, so the
+    # same block is priced with and without a subset left out; and two
+    # blocks of which only the second crosses.  Each is priced from an
+    # empty layout cache, then again once every case's layouts are cached
+    def pair(sell):
+        return make_scenario([make_node(0, [1.0, 1.0], [0.0, 0.0], [0.08, 0.08], [0.05, 0.05]),
+                              make_node(1, [1.0, 1.0], [0.0, 0.0], [0.12, 0.12], [sell] * 2)])
+
+    def case(blocks, scenario, storage, k, horizon, rho):
+        return blocks, storage, scenario, slice_horizon(scenario, k, horizon), rho
+
+    nodes = [make_node(i, [1.0, 1.0], [0.0, 0.0], [0.10, 0.10], [0.05, 0.05], cap=2.0)
+             for i in range(3)]
+    nodes.append(make_node(3, [1.0, 1.0], [0.0, 0.0], [0.12, 0.12], [0.11, 0.11], cap=2.0))
+    ref = ref_scenario
+    cases = [case([range(8)], ref, ref.storage_init, 0, 5, 1e-5),
+             case([(0, 4), (1, 2, 5, 6), (3,), (7,)], ref, ref.storage_init, 13, 5, 5e-3),
+             case([(0, 1)], pair(0.05), np.zeros(2), 0, 2, 1e-5),
+             case([(0, 1)], pair(0.09), np.zeros(2), 0, 2, 1e-5),
+             case([(0, 1), (2, 3)], make_scenario(nodes), np.ones(4), 0, 2, 1e-5)]
+    cold = []
+    for args in cases:
+        dispatch._layout.cache_clear()
+        cold.append(dispatch._pooled_subsets(*args))
+    assert [(rows.crossed, list(rows.index)) for rows in cold[2:]] == [
+        ([], [3]), ([3], []), ([12], [3])]
+    for args in cases:
+        dispatch._pooled_subsets(*args)
+    for args, rows in zip(reversed(cases), reversed(cold)):
+        _assert_same_rows(dispatch._pooled_subsets(*args), rows)
+    # with the pair's layouts cached, the step still names the failing pair
+    state, config = SystemState(step=1, storage=np.zeros(2)), SimConfig(horizon=1)
+    with pytest.raises(DispatchError, match=r"^step 1, coalition \(0, 1\): dispatch unbounded"):
+        sim.step(state, pair(0.09), config)
 
 
 def test_individual_lp_shape():

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from helpers import surplus_deficit_pair
 
+from coopgrid import dispatch
 from coopgrid.errors import MissingCoalitionError
 from coopgrid.game import (characteristic_function, coalition_mask,
                            coalition_members, equivalent_price, payoff_map,
@@ -187,3 +190,14 @@ def test_equivalent_price():
     assert equivalent_price(0.5, 0.0) is None
     assert equivalent_price(0.5, 5e-7) is None
     assert equivalent_price(-0.15, -3.0) == pytest.approx(0.05)
+
+
+def test_every_module_cache_starts_empty():
+    # tests/conftest.py empties every functools cache of every coopgrid
+    # module before each test, found by its cache_clear
+    caches = [value for name, module in sys.modules.items() if name.split(".")[0] == "coopgrid"
+              for value in vars(module).values() if hasattr(value, "cache_info")]
+    assert coalition_members in caches and dispatch._layout in caches
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
+    coalition_members(0b101)
+    assert coalition_members.cache_info().currsize == 1
